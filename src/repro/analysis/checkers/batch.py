@@ -1,6 +1,6 @@
 """The batch-plane rule: no per-query GEMM loops in the hot path.
 
-The whole point of the cross-query batch plane (DESIGN.md, "Batch
+The whole point of the stacked evaluation body (DESIGN.md, "Evaluation
 plane") is that the coordinator and scheduler move *stacked* query
 matrices, so each shard runs one matrix-matrix product per batch.  A
 Python ``for`` loop issuing one ``matmul``/``apply``/``answer`` per
@@ -10,8 +10,9 @@ per query again, which is exactly the regression PR 3's serial
 ``answer_batch`` shipped with.
 
 ``batch-loop`` flags calls whose trailing name is one of the
-per-query kernel entry points (``matmul``, ``matvec``, ``apply``,
-``answer``) lexically inside any ``for``/``while`` loop or
+per-query kernel entry points (``modular.matmul`` / ``plan.matmul``,
+``modular.matvec``, ``apply``, ``answer`` -- each a batch of one)
+lexically inside any ``for``/``while`` loop or
 comprehension, scoped to ``core/cluster_runtime.py`` and
 ``core/scheduler.py``.  Batched entry points (``answer_stacked``,
 ``apply_batch``, ``answer_batch``) are not flagged; a genuinely

@@ -3,8 +3,8 @@
 The kernel refactor (DESIGN.md, "Kernel plane") makes
 :mod:`repro.lwe.backends` the only place the stacked modular GEMM is
 executed: serving code asks the registry for a plan
-(``get_backend(name).plan(...)``) and calls ``plan.matmul`` /
-``plan.matvec``.  Code that builds a
+(``get_backend(name).plan(...)``) and calls ``plan.matmul``, its
+only entry point.  Code that builds a
 :class:`~repro.lwe.modular.StackedPlan` directly, or multiplies a ring
 matrix with ``@`` / ``np.matmul``, silently pins itself to one
 execution strategy -- it ignores the configured backend, the tuned

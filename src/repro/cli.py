@@ -548,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--kernel-backend", type=str, default=None,
-        choices=("auto", "reference", "multiprocess", "numba", "cnative"),
+        choices=("auto", "reference", "multiprocess", "cnative"),
         help="kernel backend for the hot GEMMs (default: the index"
         " config's knob -- 'auto' uses the sidecar's tuned plan)",
     )

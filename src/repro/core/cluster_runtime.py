@@ -6,11 +6,12 @@ coordinator splits the client ciphertexts -- stacked into a
 :class:`~repro.core.ranking.RankingBatch`, one query per column, so
 the split is a plain row-slice of the stack -- ships chunk i to worker
 i, and sums the partial answers mod q.  Each worker answers its chunk
-with a single matrix-matrix product over a cached
-:class:`~repro.lwe.modular.StackedPlan`, so a batch of Q queries
-streams the shard from memory once instead of Q times.  If any worker
-fails mid-batch the coordinator cannot reply for that batch (the paper
-notes the same limitation and the replication remedy).
+with a single product over a cached kernel-backend plan, so a batch of
+Q queries streams the shard from memory once instead of Q times; a
+single query is the batch of one.  Parallelism inside a shard is the
+kernel backend's job.  If any worker fails mid-batch the coordinator
+cannot reply for that batch (the paper notes the same limitation; the
+remedy is replication, which :mod:`repro.core.fleet` provides).
 """
 
 from __future__ import annotations
@@ -88,22 +89,8 @@ class RankingWorker:
         if plan is not None:
             plan.close()
 
-    def answer_chunk(self, ct_chunk: np.ndarray) -> np.ndarray:
-        if not self.alive:
-            raise WorkerFailure(f"worker {self.worker_id} is down")
-        if len(ct_chunk) != self.matrix_slice.shape[1]:
-            raise ValueError("ciphertext chunk does not match shard width")
-        self.ledger.add(
-            "ranking", 2 * self.matrix_slice.shape[0] * self.matrix_slice.shape[1]
-        )
-        return self.batch_plan().matvec(ct_chunk)
-
     def answer_stacked(self, chunk: np.ndarray) -> np.ndarray:
-        """Answer a (width, Q) stacked chunk with one GEMM.
-
-        Column i is bit-identical to ``answer_chunk(chunk[:, i])`` --
-        both are the exact mod-2^k ring product of the same operands.
-        """
+        """Answer a (width, Q) stacked chunk with one GEMM."""
         if not self.alive:
             raise WorkerFailure(f"worker {self.worker_id} is down")
         if chunk.ndim != 2 or chunk.shape[0] != self.matrix_slice.shape[1]:
@@ -120,11 +107,6 @@ class RankingWorker:
 class ShardedRankingService(Service):
     """The coordinator plus its worker fleet.
 
-    With ``parallel=True`` the coordinator fans chunks out to a thread
-    pool -- NumPy's integer matmul and BLAS both release the GIL, so
-    shards really do run concurrently, mirroring the paper's parallel
-    workers.
-
     As a :class:`~repro.net.service.Service` its wire interface is an
     ``answer`` method carrying one serialized ciphertext and an
     ``answer_batch`` method carrying a stacked query batch.  When a
@@ -136,7 +118,6 @@ class ShardedRankingService(Service):
     workers: list[RankingWorker]
     scheme: DoubleLheScheme
     ledger: CostLedger = field(default_factory=CostLedger)
-    parallel: bool = False
     #: Set when this service holds one fleet shard (see
     #: :meth:`build_shard`): its workers cover only that shard's
     #: cluster columns and ``answer`` returns a *partial* sum the
@@ -145,7 +126,6 @@ class ShardedRankingService(Service):
     num_shards: int | None = None
     #: Kernel backend the shard workers execute on (None -> reference).
     kernel_backend: str | None = None
-    _pool: object = field(default=None, repr=False)
     _scheduler: object = field(default=None, repr=False)
 
     service_name = "ranking"
@@ -313,30 +293,19 @@ class ShardedRankingService(Service):
     def num_workers(self) -> int:
         return len(self.workers)
 
-    def _ensure_pool(self):
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(max_workers=len(self.workers))
-        return self._pool
-
     def open(self) -> None:
         """Start the attached scheduler (if any).  Idempotent."""
         if self._scheduler is not None:
             self._scheduler.start()
 
     def close(self) -> None:
-        """Shut down the scheduler and worker thread pool (idempotent).
+        """Stop the scheduler and release every shard plan (idempotent).
 
-        Without this the executor's non-daemon threads outlive the
-        service and interpreter exit blocks joining them.  The service
-        remains usable after close -- the pool is lazily recreated.
+        The service remains usable after close -- plans are lazily
+        rebuilt.
         """
         if self._scheduler is not None:
             self._scheduler.stop()
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
         for worker in self.workers:
             worker.drop_plan()
 
@@ -348,62 +317,30 @@ class ShardedRankingService(Service):
         return False
 
     def answer(self, query: RankingQuery) -> RankingAnswer:
-        """Fan out the ciphertext, sum the partial answers."""
-        q_bits = self.scheme.params.inner.q_bits
-        ct = query.ciphertext.c
-        with obs.span(
-            "ranking.answer",
-            workers=len(self.workers),
-            parallel=self.parallel,
-        ) as coord_span:
+        """Answer one query: :meth:`answer_batch` of one."""
+        return self.answer_batch([query])[0]
 
-            def run(worker: RankingWorker) -> np.ndarray:
-                width = worker.matrix_slice.shape[1]
-                with obs.span(
-                    "ranking.worker",
-                    parent=coord_span,
-                    worker=worker.worker_id,
-                    rows=worker.matrix_slice.shape[0],
-                    cols=width,
-                ):
-                    chunk = ct[worker.col_start : worker.col_start + width]
-                    return worker.answer_chunk(chunk)
-
-            if self.parallel and len(self.workers) > 1:
-                partials = list(self._ensure_pool().map(run, self.workers))
-            else:
-                partials = [run(w) for w in self.workers]
-            total = partials[0]
-            for partial in partials[1:]:
-                total = modular.add(total, partial, q_bits)
-        for worker in self.workers:
-            self.ledger.merge(worker.ledger)
-            worker.ledger = CostLedger()
-        return RankingAnswer(
-            values=total,
-            bytes_per_element=self.scheme.params.inner.bytes_per_element,
-        )
+    def answer_batch(self, queries: list[RankingQuery]) -> list[RankingAnswer]:
+        """Answer Q queries: :meth:`answer_stacked`, one per column."""
+        if not queries:
+            return []
+        return self.answer_stacked(RankingBatch.from_queries(queries)).split()
 
     def answer_stacked(self, batch: RankingBatch) -> RankingBatchAnswer:
-        """Answer a stacked batch: one GEMM per shard, summed mod q.
+        """Fan the stack out by shard, sum the partial answers mod q.
 
-        Column i of the result is bit-identical to ``answer`` on query
-        i alone: each worker partial is the exact ring product of the
-        same operands, and mod-2^k accumulation is column-wise.  The
-        parallel/serial mode check is hoisted out of the per-worker
-        path, and the serial fallback accumulates in place (no
-        per-worker allocations beyond the partials themselves).
+        Stacking the ciphertexts turns Q scans into one product per
+        shard -- the index streams from memory once per batch instead
+        of once per query.  Each worker partial is the exact ring
+        product of its operands and mod-2^k accumulation is
+        column-wise, so column i depends on query i alone.
         """
-        q_bits = self.scheme.params.inner.q_bits
         stacked = batch.stacked
+        total = None
         with obs.span(
-            "ranking.answer_batch",
-            workers=len(self.workers),
-            batch=batch.size,
-            parallel=self.parallel,
+            "ranking.answer", workers=len(self.workers), batch=batch.size
         ) as coord_span:
-
-            def run(worker: RankingWorker) -> np.ndarray:
+            for worker in self.workers:
                 width = worker.matrix_slice.shape[1]
                 with obs.span(
                     "ranking.worker",
@@ -413,26 +350,14 @@ class ShardedRankingService(Service):
                     cols=width,
                     batch=batch.size,
                 ):
-                    chunk = stacked[
-                        worker.col_start : worker.col_start + width
-                    ]
-                    return worker.answer_stacked(chunk)
-
-            use_pool = self.parallel and len(self.workers) > 1
-            if use_pool:
-                partials = list(self._ensure_pool().map(run, self.workers))
-                total = partials[0]
-                for partial in partials[1:]:
+                    partial = worker.answer_stacked(
+                        stacked[worker.col_start : worker.col_start + width]
+                    )
+                if total is None:
+                    total = partial
+                else:
+                    # Unsigned in-place add wraps mod 2^k exactly.
                     np.add(total, partial, out=total)
-            else:
-                total = None
-                for worker in self.workers:
-                    partial = run(worker)
-                    if total is None:
-                        total = partial
-                    else:
-                        # Unsigned in-place add wraps mod 2^k exactly.
-                        np.add(total, partial, out=total)
         for worker in self.workers:
             self.ledger.merge(worker.ledger)
             worker.ledger = CostLedger()
@@ -440,19 +365,6 @@ class ShardedRankingService(Service):
             stacked=total,
             bytes_per_element=self.scheme.params.inner.bytes_per_element,
         )
-
-    def answer_batch(self, queries: list[RankingQuery]) -> list[RankingAnswer]:
-        """Answer several queries in one pass over the index.
-
-        Stacking the ciphertexts into a matrix turns Q matrix-vector
-        products into one matrix-matrix product per shard -- the index
-        streams from memory once per batch instead of once per query.
-        Answers are bit-identical to individual :meth:`answer` calls.
-        """
-        if not queries:
-            return []
-        batch = RankingBatch.from_queries(queries)
-        return self.answer_stacked(batch).split()
 
     def fail_worker(self, worker_id: int) -> None:
         """Failure injection for tests/benchmarks."""
@@ -463,168 +375,3 @@ class ShardedRankingService(Service):
 
     def max_shard_bytes(self) -> int:
         return max(w.storage_bytes() for w in self.workers)
-
-
-@dataclass
-class ReplicatedRankingService(Service):
-    """Sharded ranking with per-shard replication (SS4.3).
-
-    "To improve latency and fault-tolerance at some operating cost,
-    the coordinator could farm out each task to multiple machines."
-    Each shard is served by ``replicas`` identical workers; a query
-    survives any failure pattern that leaves one live replica per
-    shard.  Storage cost is ``replicas`` times the base deployment.
-
-    Carries the same :class:`~repro.net.service.Service` lifecycle as
-    the sharded coordinator, so a ``ServerRunner`` can host, health-
-    check, and close it: ``close`` releases every replica's cached
-    batch plan (the float staging copy of its shard) instead of
-    leaking them for the life of the process.
-    """
-
-    replica_groups: list[list[RankingWorker]]
-    scheme: DoubleLheScheme
-    ledger: CostLedger = field(default_factory=CostLedger)
-
-    service_name = "ranking"
-
-    def register_endpoint(self, endpoint: ServiceEndpoint) -> None:
-        endpoint.register("answer", self._handle_answer)
-        endpoint.register("answer_batch", self._handle_answer_batch)
-
-    def _handle_answer(self, payload: bytes) -> bytes:
-        ct = wire.decode_ciphertext(payload, self.scheme.params.inner)
-        answer = self.answer(RankingQuery(ciphertext=ct))
-        return wire.encode_answer(
-            answer.values, self.scheme.params.inner.q_bits
-        )
-
-    def _handle_answer_batch(self, payload: bytes) -> bytes:
-        batch = wire.decode_batch(payload, self.scheme.params.inner)
-        answer = self.answer_stacked(batch)
-        return wire.encode_batch_answer(
-            answer, self.scheme.params.inner.q_bits
-        )
-
-    def health(self) -> dict:
-        """Degraded while any shard is below full replication; failed
-        once some shard has no live replica at all."""
-        live_per_shard = [
-            sum(1 for w in group if w.alive) for group in self.replica_groups
-        ]
-        if any(live == 0 for live in live_per_shard):
-            status = "failed"
-        elif any(
-            live < len(group)
-            for live, group in zip(live_per_shard, self.replica_groups)
-        ):
-            status = "degraded"
-        else:
-            status = "ok"
-        return {
-            "service": self.service_name,
-            "status": status,
-            "shards": len(self.replica_groups),
-            "replicas": self.replicas,
-            "live_replicas": live_per_shard,
-        }
-
-    def close(self) -> None:
-        """Release every replica's cached batch plan.  Idempotent."""
-        for group in self.replica_groups:
-            for worker in group:
-                worker.drop_plan()
-
-    @classmethod
-    def build(
-        cls,
-        scheme: DoubleLheScheme,
-        matrix: np.ndarray,
-        dim: int,
-        num_workers: int,
-        replicas: int = 2,
-    ) -> "ReplicatedRankingService":
-        if replicas < 1:
-            raise ValueError("need at least one replica per shard")
-        base = ShardedRankingService.build(scheme, matrix, dim, num_workers)
-        groups = []
-        for worker in base.workers:
-            groups.append(
-                [
-                    RankingWorker(
-                        worker_id=worker.worker_id * replicas + r,
-                        matrix_slice=worker.matrix_slice,
-                        col_start=worker.col_start,
-                        q_bits=worker.q_bits,
-                    )
-                    for r in range(replicas)
-                ]
-            )
-        return cls(replica_groups=groups, scheme=scheme)
-
-    @property
-    def replicas(self) -> int:
-        return len(self.replica_groups[0])
-
-    def _first_live(self, group: list[RankingWorker]) -> RankingWorker:
-        for worker in group:
-            if worker.alive:
-                return worker
-        raise WorkerFailure(
-            f"all replicas of shard at column {group[0].col_start} are down"
-        )
-
-    def answer(self, query: RankingQuery) -> RankingAnswer:
-        """Fan out each chunk to the first live replica of its shard."""
-        q_bits = self.scheme.params.inner.q_bits
-        ct = query.ciphertext.c
-        total = None
-        for group in self.replica_groups:
-            worker = self._first_live(group)
-            width = worker.matrix_slice.shape[1]
-            chunk = ct[worker.col_start : worker.col_start + width]
-            partial = worker.answer_chunk(chunk)
-            self.ledger.merge(worker.ledger)
-            worker.ledger = CostLedger()
-            total = partial if total is None else modular.add(
-                total, partial, q_bits
-            )
-        return RankingAnswer(
-            values=total,
-            bytes_per_element=self.scheme.params.inner.bytes_per_element,
-        )
-
-    def answer_stacked(self, batch: RankingBatch) -> RankingBatchAnswer:
-        """Batched fan-out: one GEMM on the first live replica per shard."""
-        total = None
-        for group in self.replica_groups:
-            worker = self._first_live(group)
-            width = worker.matrix_slice.shape[1]
-            chunk = batch.stacked[
-                worker.col_start : worker.col_start + width
-            ]
-            partial = worker.answer_stacked(chunk)
-            self.ledger.merge(worker.ledger)
-            worker.ledger = CostLedger()
-            if total is None:
-                total = partial
-            else:
-                np.add(total, partial, out=total)
-        return RankingBatchAnswer(
-            stacked=total,
-            bytes_per_element=self.scheme.params.inner.bytes_per_element,
-        )
-
-    def answer_batch(self, queries: list[RankingQuery]) -> list[RankingAnswer]:
-        if not queries:
-            return []
-        return self.answer_stacked(RankingBatch.from_queries(queries)).split()
-
-    def fail_worker(self, shard: int, replica: int) -> None:
-        self.replica_groups[shard][replica].alive = False
-
-    def storage_bytes(self) -> int:
-        """Total fleet storage -- ``replicas`` times the base index."""
-        return sum(
-            w.storage_bytes() for group in self.replica_groups for w in group
-        )

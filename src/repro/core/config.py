@@ -70,9 +70,9 @@ class TiptoeConfig:
     token_prefetch_depth: int = 0
     #: Kernel backend executing the hot GEMMs: "auto" (tuned sidecar
     #: plan if present, else reference), "reference", "multiprocess",
-    #: "numba", or "cnative" -- the cffi-compiled GIL-releasing C
-    #: kernel, which degrades to reference on compiler-less hosts
-    #: (see repro.lwe.backends).
+    #: or "cnative" -- the cffi-compiled GIL-releasing C kernel, which
+    #: degrades to reference on compiler-less hosts (see
+    #: repro.lwe.backends).
     kernel_backend: str = "auto"
     #: Run the kernel autotuner when writing the precompute sidecar,
     #: persisting the winning KernelPlan for cold-start use.

@@ -340,8 +340,18 @@ class FleetRouter(Service):
 
     service_name = "fleet"
 
-    #: Ranking methods that fan out to every shard and aggregate.
-    _FANOUT_METHODS = frozenset({"answer", "answer_batch"})
+    #: Ranking methods that fan out to every shard and aggregate, each
+    #: with the codec pair that decodes a partial answer and encodes the
+    #: folded sum.
+    _FOLD_CODECS = {
+        "answer": (wire.decode_answer, wire.encode_answer),
+        "answer_batch": (
+            wire.decode_batch_answer,
+            lambda total, q_bits: wire.encode_batch_answer(
+                SimpleNamespace(stacked=total), q_bits
+            ),
+        ),
+    }
 
     def __init__(
         self,
@@ -606,7 +616,7 @@ class FleetRouter(Service):
         try:
             if name == "ranking":
                 method, _ = rpc.unframe(request)
-                if method in self._FANOUT_METHODS:
+                if method in self._FOLD_CODECS:
                     return self._route_ranking(gen, method, request)
             return self._route_any(gen, name, request, rr)
         finally:
@@ -642,32 +652,18 @@ class FleetRouter(Service):
         return self._fold_answers(method, responses)
 
     def _fold_answers(self, method: str, responses: list[bytes]) -> bytes:
-        if method == "answer":
-            total = None
-            q_bits = 0
-            for response in responses:
-                _, body = rpc.unframe(response)
-                values, q_bits = wire.decode_answer(body)
-                total = (
-                    values
-                    if total is None
-                    else modular.add(total, values, q_bits)
-                )
-            return rpc.frame(method, wire.encode_answer(total, q_bits))
+        decode, encode = self._FOLD_CODECS[method]
         total = None
         q_bits = 0
         for response in responses:
             _, body = rpc.unframe(response)
-            stacked, q_bits = wire.decode_batch_answer(body)
+            partial, q_bits = decode(body)
             total = (
-                stacked
+                partial
                 if total is None
-                else modular.add(total, stacked, q_bits)
+                else modular.add(total, partial, q_bits)
             )
-        return rpc.frame(
-            method,
-            wire.encode_batch_answer(SimpleNamespace(stacked=total), q_bits),
-        )
+        return rpc.frame(method, encode(total, q_bits))
 
     def _route_any(
         self, gen: _Generation, service: str, request: bytes, rr: int

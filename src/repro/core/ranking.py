@@ -2,10 +2,11 @@
 
 Client side: build the augmented query vector q-tilde -- zero
 everywhere except the chosen cluster's block, which holds the
-quantized query embedding -- and encrypt it.  Server side: one big
-matrix-vector product over the Fig. 3 matrix.  The server touches
-every cluster (privacy demands the full linear scan); the layout makes
-the answer contain exactly the chosen cluster's inner-product scores.
+quantized query embedding -- and encrypt it.  Server side
+(:mod:`repro.core.cluster_runtime`): one big product over the Fig. 3
+matrix.  The server touches every cluster (privacy demands the full
+linear scan); the layout makes the answer contain exactly the chosen
+cluster's inner-product scores.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.costs import CostLedger
 from repro.homenc.double import DoubleLheScheme
 from repro.lwe.params import LweParams
 from repro.lwe.regev import Ciphertext, stack_ciphertexts
@@ -88,7 +88,7 @@ class RankingBatch:
 @dataclass
 class RankingBatchAnswer:
     """The stacked evaluated ciphertexts for one batch (column i =
-    query i's answer, bit-identical to the sequential path)."""
+    query i's answer, whatever else is in the batch)."""
 
     stacked: np.ndarray  # (rows, Q)
     bytes_per_element: int
@@ -160,28 +160,3 @@ class RankingClient:
     ) -> np.ndarray:
         """Centered inner-product scores, one per cluster row."""
         return self.scheme.decrypt_centered(keys, answer.values, hint_product)
-
-
-class RankingService:
-    """Single-node reference ranking server.
-
-    The sharded deployment of SS4.3 lives in
-    :mod:`repro.core.cluster_runtime`; this reference implementation
-    answers the same queries on one node and is what the sharded
-    version is tested against.
-    """
-
-    def __init__(self, scheme: DoubleLheScheme, matrix: np.ndarray):
-        self.scheme = scheme
-        self.matrix = matrix
-        self.ledger = CostLedger()
-
-    def answer(self, query: RankingQuery) -> RankingAnswer:
-        values = self.scheme.apply(self.matrix, query.ciphertext)
-        self.ledger.add(
-            "ranking", self.scheme.inner.apply_word_ops(self.matrix.shape[0])
-        )
-        return RankingAnswer(
-            values=values,
-            bytes_per_element=self.scheme.params.inner.bytes_per_element,
-        )

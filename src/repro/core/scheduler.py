@@ -12,9 +12,9 @@ whole batch with one GEMM per shard, and the answers fan back out to
 the waiting threads.
 
 Batching changes *when* work happens, never *what* is computed: column
-i of the stacked product is the exact mod-2^k ring product the
-sequential path computes, so a batched answer is bit-identical to an
-unbatched one (asserted in tests).  A failure while scanning --
+i of the stacked product is the exact mod-2^k ring product of query
+i alone, so an answer does not depend on what it was batched with
+(asserted in tests).  A failure while scanning --
 e.g. a dead worker shard -- fails only the queries in that batch;
 the dispatcher keeps serving subsequent batches.
 

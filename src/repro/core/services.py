@@ -36,10 +36,10 @@ logger = logging.getLogger(__name__)
 class TokenMintService(Service):
     """The query-token mint (SS6.3).
 
-    ``mint`` takes the client's outer-encrypted inner keys and returns
-    the double-layer hint products; ``mint_many`` does the same for a
-    batch of clients in one hint pass (the NTTs amortize).  Nothing
-    here depends on any future query.
+    ``mint_many`` takes a batch of clients' outer-encrypted inner keys
+    and returns the double-layer hint products in one hint pass (the
+    NTTs amortize); ``mint`` is its batch of one.  Nothing here depends
+    on any future query.
 
     A :class:`~repro.core.precompute.TokenPool` may be attached
     (mirroring the ranking service's scheduler): its refill worker then

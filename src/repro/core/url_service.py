@@ -20,14 +20,16 @@ from repro.net.rpc import ServiceEndpoint
 from repro.net.service import Service
 from repro.obs import runtime as obs
 from repro.pir.database import PackedDatabase
-from repro.pir.simplepir import PirAnswer, PirQuery
+from repro.pir.simplepir import PirAnswer, PirQuery, SimplePirServer
 
 
 class UrlService(Service):
     """Server side: a PIR server over the packed batch database.
 
-    As a :class:`~repro.net.service.Service` its wire interface is one
-    ``answer`` method carrying a serialized ciphertext.
+    The scan itself is :class:`~repro.pir.simplepir.SimplePirServer`'s;
+    this class adds the wire endpoint (one ``answer`` method carrying a
+    serialized ciphertext), the span, the cost ledger and the health
+    report.
     """
 
     service_name = "url"
@@ -44,14 +46,16 @@ class UrlService(Service):
         self.db = db
         self.scheme = scheme
         self.ledger = CostLedger()
-        self._plan = None  # lazy kernel-backend plan for batched answers
-        #: Sidecar-provided plan parameters; skips the entry scan when
-        #: the lazy plan is first built.
-        self._plan_meta = plan_meta
-        #: Kernel-backend name (None -> reference) and tuned plan
-        #: options for the batched scan; see repro.lwe.backends.
+        #: Kernel-backend name (None -> reference); see repro.lwe.backends.
         self.kernel_backend = kernel_backend
-        self.kernel_opts = dict(kernel_opts or {})
+        # Sidecar-provided plan parameters ride along with the tuned
+        # plan options: they skip the entry scan when the plan is built.
+        self._pir = SimplePirServer(
+            db,
+            scheme,
+            kernel_backend=kernel_backend,
+            kernel_opts=dict(kernel_opts or {}, metadata=plan_meta),
+        )
 
     def register_endpoint(self, endpoint: ServiceEndpoint) -> None:
         endpoint.register("answer", self._handle_answer)
@@ -65,61 +69,35 @@ class UrlService(Service):
 
     def health(self) -> dict:
         # kernel_effective is the backend actually executing after any
-        # availability fallback; None until the lazy plan first builds.
+        # availability fallback; None until the first answer builds the
+        # plan.
         return {
             "service": self.service_name,
             "status": "ok",
             "rows": self.db.num_rows,
             "kernel_backend": self.kernel_backend or "reference",
-            "kernel_effective": getattr(self._plan, "backend_name", None),
+            "kernel_effective": self._pir.effective_backend,
         }
 
     def close(self) -> None:
-        """Release the batch plan (worker pools, shared segments)."""
-        if self._plan is not None:
-            self._plan.close()
-            self._plan = None
+        """Release the kernel plan (worker pools, shared segments)."""
+        self._pir.close()
 
     def answer(self, query: PirQuery) -> PirAnswer:
-        with obs.span("url.answer", rows=self.db.num_rows):
-            values = self.scheme.apply(self.db.matrix, query.ciphertext)
-        self.ledger.add("url", self.scheme.inner.apply_word_ops(self.db.num_rows))
-        return PirAnswer(
-            values=values,
-            bytes_per_element=self.scheme.params.inner.bytes_per_element,
-        )
+        """Answer one PIR query: :meth:`answer_batch` of one."""
+        return self.answer_batch([query])[0]
 
     def answer_batch(self, queries: list[PirQuery]) -> list[PirAnswer]:
-        """Answer several PIR queries in one pass over the database.
-
-        One matrix-matrix product instead of B matrix-vector products;
-        answers are bit-identical to individual calls.
-        """
-        if not queries:
-            return []
-        from repro.lwe.regev import stack_ciphertexts
-
-        if self._plan is None:
-            self._plan = self.scheme.batch_plan(
-                self.db.matrix,
-                backend=self.kernel_backend,
-                metadata=self._plan_meta,
-                **self.kernel_opts,
-            )
+        """Answer Q PIR queries in one pass over the database."""
         with obs.span(
-            "url.answer_batch", rows=self.db.num_rows, batch=len(queries)
+            "url.answer", rows=self.db.num_rows, batch=len(queries)
         ):
-            stacked = stack_ciphertexts([q.ciphertext for q in queries])
-            out = self.scheme.apply_batch(None, stacked, plan=self._plan)
+            answers = self._pir.answer_batch(queries)
         self.ledger.add(
             "url",
             self.scheme.inner.apply_word_ops(self.db.num_rows) * len(queries),
         )
-        per_element = self.scheme.params.inner.bytes_per_element
-        return [
-            PirAnswer(values=out[:, i], bytes_per_element=per_element)
-            for i in range(len(queries))
-        ]
+        return answers
 
 
 @dataclass

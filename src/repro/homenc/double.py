@@ -151,9 +151,10 @@ class DoubleLheScheme:
     """Linearly homomorphic encryption with preprocessing + compression.
 
     The public interface mirrors Appendix A.1's syntax: ``encrypt``
-    (inner), ``preprocess`` (hint + switched hint), ``apply`` (inner,
-    the online hot loop), ``evaluate_hint`` (outer, offline), and
-    ``decrypt`` (client, from the compressed hint product).
+    (inner), ``preprocess`` (hint + switched hint), ``apply_batch``
+    (inner, the online hot loop), ``evaluate_hint_batch`` (outer,
+    offline) -- ``apply`` / ``evaluate_hint`` are their batches of one
+    -- and ``decrypt`` (client, from the compressed hint product).
     """
 
     def __init__(
@@ -259,47 +260,25 @@ class DoubleLheScheme:
     def evaluate_hint(
         self, enc_key: EncryptedKey, prep: PreprocessedMatrix
     ) -> CompressedHint:
-        """Compute ``Enc2(H' s)`` -- decryption outsourced to the server.
-
-        Runs once per client key per matrix, entirely offline.  Each
-        chunk of ``n_outer`` hint rows yields one outer ciphertext.
-        """
-        n_outer = self.params.outer_n
-        ring = self.outer.ring
-        chunks = []
-        for idx, start in enumerate(range(0, prep.rows, n_outer)):
-            # Kernel timer: the BFV homomorphic evaluation (one outer
-            # ciphertext per chunk) is the token path's hot loop.
-            with _obs.kernel_timer("bfv.apply"):
-                c_ntts = self._chunk_c_ntts(prep, idx, start)
-                b_acc = []
-                a_acc = []
-                for ch, p in enumerate(ring.primes):
-                    b_acc.append(
-                        _mulsum_mod(enc_key.z_b[:, ch, :], c_ntts[ch], p)
-                    )
-                    a_acc.append(
-                        _mulsum_mod(enc_key.z_a[:, ch, :], c_ntts[ch], p)
-                    )
-                chunks.append(
-                    BfvCiphertext(b=np.stack(b_acc), a=np.stack(a_acc))
-                )
-        return CompressedHint(chunks=tuple(chunks), rows=prep.rows)
+        """``Enc2(H' s)`` for one client: a batch of one."""
+        return self.evaluate_hint_batch([enc_key], prep)[0]
 
     def evaluate_hint_batch(
         self,
         enc_keys: Sequence[EncryptedKey],
         prep: PreprocessedMatrix,
     ) -> list[CompressedHint]:
-        """Evaluate the outer layer for several clients in one hint pass.
+        """Compute ``Enc2(H' s)`` per client -- decryption outsourced
+        to the server, for several clients in one hint pass.
 
-        The plaintext polynomials ``C_i`` -- and their forward NTTs,
-        the dominant per-chunk cost -- depend only on the hint block,
-        not on any client, so they are computed once per chunk and
-        reused across the batch.  Each client's pointwise products run
-        against that client's own encrypted key: per-client outer keys
-        never mix, so element i of the result is bit-identical to
-        ``evaluate_hint(enc_keys[i], prep)``.
+        Runs once per client key per matrix, entirely offline.  Each
+        chunk of ``n_outer`` hint rows yields one outer ciphertext per
+        client.  The plaintext polynomials ``C_i`` -- and their forward
+        NTTs, the dominant per-chunk cost -- depend only on the hint
+        block, not on any client, so they are computed once per chunk
+        and reused across the batch.  Each client's pointwise products
+        run against that client's own encrypted key: per-client outer
+        keys never mix.
         """
         if not enc_keys:
             return []
@@ -307,7 +286,10 @@ class DoubleLheScheme:
         ring = self.outer.ring
         per_client: list[list[BfvCiphertext]] = [[] for _ in enc_keys]
         for idx, start in enumerate(range(0, prep.rows, n_outer)):
-            with _obs.kernel_timer("bfv.apply_batch"):
+            # Kernel timer: the BFV homomorphic evaluation (one outer
+            # ciphertext per chunk and client) is the token path's hot
+            # loop.
+            with _obs.kernel_timer("bfv.apply"):
                 # Shared across the batch: one NTT per RNS prime --
                 # precomputed when the sidecar table is loaded.
                 c_ntts = self._chunk_c_ntts(prep, idx, start)
@@ -353,13 +335,13 @@ class DoubleLheScheme:
         return self.inner.encrypt(keys.inner, message, rng)
 
     def apply(self, matrix: np.ndarray, ct: Ciphertext) -> np.ndarray:
-        """Inner homomorphic evaluation (the online server hot loop)."""
-        return self.inner.apply(matrix, ct)
+        """Inner evaluation of one ciphertext: a batch of one."""
+        return self.apply_batch(matrix, [ct])[:, 0]
 
     def batch_plan(
         self, matrix: np.ndarray, *, backend: str | None = None, **plan_kwargs
     ):
-        """Message-independent preprocessing for batched Apply calls.
+        """Message-independent preprocessing for Apply calls.
 
         ``backend`` / ``plan_kwargs`` select and parameterize a kernel
         backend (see :mod:`repro.lwe.backends`).
@@ -372,11 +354,8 @@ class DoubleLheScheme:
         cts,
         plan=None,
     ) -> np.ndarray:
-        """Batched inner evaluation: Q stacked queries, one GEMM.
-
-        Column i of the (rows, Q) result is bit-identical to
-        ``apply(matrix, cts[i])``.
-        """
+        """Inner homomorphic evaluation (the online server hot loop):
+        Q stacked queries, one GEMM, (rows, Q) evaluated columns."""
         return self.inner.apply_batch(matrix, cts, plan=plan)
 
     def decrypt(

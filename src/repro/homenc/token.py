@@ -117,39 +117,22 @@ class TokenFactory:
         return self._services[name]
 
     def mint(self, enc_keys: dict[str, EncryptedKey]) -> TokenPayload:
-        """Evaluate every service's hint under the client's keys.
-
-        ``enc_keys`` maps each service name to the encrypted key to use
-        for it; with the shared-key optimization several names map to
-        the same :class:`EncryptedKey` object, uploaded once.
-        """
-        missing = set(self._services) - set(enc_keys)
-        if missing:
-            raise ValueError(f"missing encrypted keys for services {missing}")
-        hints = {}
-        with obs.span("token.mint", services=len(self._services)):
-            for name, svc in self._services.items():
-                with obs.span(
-                    "token.evaluate_hint", service=name, rows=svc.prep.rows
-                ):
-                    hints[name] = svc.scheme.evaluate_hint(
-                        enc_keys[name], svc.prep
-                    )
-        return TokenPayload(hints=hints)
+        """Mint one client's token: :meth:`mint_many` of one."""
+        return self.mint_many([enc_keys])[0]
 
     def mint_many(
         self, enc_keys_list: Sequence[dict[str, EncryptedKey]]
     ) -> list[TokenPayload]:
-        """Mint one token per client, amortizing the hint NTTs.
+        """Evaluate every service's hint under each client's keys.
 
-        Stacks K clients' encrypted keys through
-        :meth:`DoubleLheScheme.evaluate_hint_batch`, so each service's
-        plaintext-side forward NTTs run once per chunk for the whole
-        batch instead of once per client.  Element i of the result is
-        bit-identical to ``mint(enc_keys_list[i])``.
+        Each element of ``enc_keys_list`` maps every service name to
+        the encrypted key to use for it; with the shared-key
+        optimization several names map to the same
+        :class:`EncryptedKey` object, uploaded once.  The K clients go
+        through :meth:`DoubleLheScheme.evaluate_hint_batch` together,
+        so each service's plaintext-side forward NTTs run once per
+        chunk for the whole batch instead of once per client.
         """
-        if not enc_keys_list:
-            return []
         for i, enc_keys in enumerate(enc_keys_list):
             missing = set(self._services) - set(enc_keys)
             if missing:
@@ -161,13 +144,13 @@ class TokenFactory:
             {} for _ in enc_keys_list
         ]
         with obs.span(
-            "token.mint_many",
+            "token.mint",
             clients=len(enc_keys_list),
             services=len(self._services),
         ):
             for name, svc in self._services.items():
                 with obs.span(
-                    "token.evaluate_hint_batch",
+                    "token.evaluate_hint",
                     service=name,
                     rows=svc.prep.rows,
                     clients=len(enc_keys_list),

@@ -7,8 +7,6 @@ Selection policy (see :func:`get_backend`):
   available; the bit-identity baseline.
 * ``"multiprocess"`` -- spawn-context worker pool over shared-memory
   row partitions.
-* ``"numba"`` -- JIT wraparound kernel, silently the reference path
-  when numba is not importable.
 * ``"cnative"`` -- cffi-compiled C GEMM releasing the GIL across
   native row-partition threads; needs a C compiler once (content-
   hashed build cache), degrades to reference without one.
@@ -31,7 +29,6 @@ from repro.lwe.backends.base import (
     PlanContextMixin,
 )
 from repro.lwe.backends.cnative import CNativeBackend
-from repro.lwe.backends.numba_backend import NumbaBackend
 from repro.lwe.backends.reference import ReferenceBackend
 from repro.lwe.backends.shm import SharedMemoryBackend
 
@@ -100,7 +97,6 @@ def get_backend(name: str | None = None) -> KernelBackend:
 
 register_backend(ReferenceBackend())
 register_backend(SharedMemoryBackend())
-register_backend(NumbaBackend())
 register_backend(CNativeBackend())
 
 from repro.lwe.backends.autotune import (  # noqa: E402  (needs registry)
@@ -117,7 +113,6 @@ __all__ = [
     "KernelPlan",
     "KernelUnavailable",
     "PlanContextMixin",
-    "NumbaBackend",
     "ReferenceBackend",
     "SharedMemoryBackend",
     "available_backends",

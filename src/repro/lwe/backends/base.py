@@ -3,7 +3,7 @@
 The server's dominant cost is the ranking scan -- one exact modular
 GEMM per batch (SS4, SS6.1).  A :class:`KernelBackend` owns *how* that
 product executes (in-process BLAS limbs, a shared-memory process pool,
-a JIT kernel); a :class:`BackendPlan` is the backend's preprocessed
+a compiled C kernel); a :class:`BackendPlan` is the backend's preprocessed
 state for one long-lived matrix, playing the same role as
 :class:`~repro.lwe.modular.StackedPlan` (which is exactly what the
 reference backend wraps).
@@ -52,11 +52,10 @@ class BackendPlan(Protocol):
     limb_bits: int
 
     def matmul(self, stacked: np.ndarray) -> np.ndarray:
-        """The exact stacked product ``M @ B`` over Z_{2^q_bits}."""
-        ...
+        """The exact stacked product ``M @ B`` over Z_{2^q_bits}.
 
-    def matvec(self, vec: np.ndarray) -> np.ndarray:
-        """The exact single-query product ``M @ v``."""
+        The one entry point: a single query is the (cols, 1) stack.
+        """
         ...
 
     def metadata(self) -> dict:

@@ -484,22 +484,19 @@ class CNativePlan(PlanContextMixin):
         return self.limb_bits > 0
 
     def matmul(self, stacked: np.ndarray) -> np.ndarray:
-        """The exact stacked product, one GIL-released C call."""
+        """The exact stacked product, one GIL-released C call.
+
+        A stack narrower than ``modular.LIMB_MIN_BATCH`` does not
+        amortize a thread fan-out; it runs in-process on the ring
+        matrix, like every other backend.
+        """
         if self._ring is None:
             raise KernelUnavailable("cnative plan is closed")
-        stacked = np.asarray(stacked, dtype=self._dtype)
-        if stacked.ndim != 2:
-            raise ValueError(
-                f"stacked ciphertexts must form a (cols, Q) matrix;"
-                f" got shape {stacked.shape}"
-            )
-        if stacked.shape[0] != self.cols:
-            raise ValueError(
-                f"stacked ciphertexts have {stacked.shape[0]} rows,"
-                f" expected {self.cols}"
-            )
+        stacked = modular.as_stacked(stacked, self.cols, self.q_bits)
         batch = stacked.shape[1]
-        if batch == 0 or self.rows == 0 or self.cols == 0:
+        if batch < modular.LIMB_MIN_BATCH:
+            return modular.matmul(self._ring, stacked, self.q_bits)
+        if self.rows == 0 or self.cols == 0:
             return np.zeros((self.rows, batch), dtype=self._dtype)
         stacked = np.ascontiguousarray(stacked)
         matrix = self._centered if self.limb_bits > 0 else self._ring
@@ -520,18 +517,6 @@ class CNativePlan(PlanContextMixin):
         if status != 0:  # pragma: no cover - allocation failure
             raise KernelUnavailable("cnative kernel ran out of memory")
         return out
-
-    def matvec(self, vec: np.ndarray) -> np.ndarray:
-        """Single-query product on the in-process integer path.
-
-        One matrix-vector scan does not amortize a thread fan-out;
-        like the other backends it runs straight on the ring matrix.
-        """
-        if self._ring is None:
-            raise KernelUnavailable("cnative plan is closed")
-        return modular.matmul(
-            self._ring, np.asarray(vec).reshape(-1), self.q_bits
-        )
 
     def metadata(self) -> dict:
         """Serializable plan parameters -- same shape as the reference."""

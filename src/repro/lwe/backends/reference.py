@@ -14,49 +14,10 @@ from repro.lwe import modular
 from repro.lwe.backends.base import PlanContextMixin
 
 
-class ReferencePlan(PlanContextMixin):
+class ReferencePlan(PlanContextMixin, modular.StackedPlan):
     """A :class:`~repro.lwe.modular.StackedPlan` with the seam API."""
 
     backend_name = "reference"
-
-    def __init__(self, plan: modular.StackedPlan):
-        self._plan = plan
-
-    @property
-    def q_bits(self) -> int:
-        return self._plan.q_bits
-
-    @property
-    def rows(self) -> int:
-        return self._plan.rows
-
-    @property
-    def cols(self) -> int:
-        return self._plan.cols
-
-    @property
-    def entry_bound(self) -> int:
-        return self._plan.entry_bound
-
-    @property
-    def limb_bits(self) -> int:
-        return self._plan.limb_bits
-
-    @property
-    def uses_blas(self) -> bool:
-        return self._plan.uses_blas
-
-    def matmul(self, stacked: np.ndarray) -> np.ndarray:
-        return self._plan.matmul(stacked)
-
-    def matvec(self, vec: np.ndarray) -> np.ndarray:
-        return self._plan.matvec(vec)
-
-    def metadata(self) -> dict:
-        return self._plan.metadata()
-
-    def close(self) -> None:
-        self._plan.close()
 
 
 class ReferenceBackend:
@@ -84,21 +45,19 @@ class ReferenceBackend:
     ) -> ReferencePlan:
         del workers  # single-process by definition
         if metadata is not None and limb_bits is None:
-            inner = modular.StackedPlan.from_metadata(
+            return ReferencePlan.from_metadata(
                 matrix,
                 metadata,
                 chunk_rows=chunk_rows,
                 timer_label=self.timer_label,
             )
-        else:
-            if metadata is not None and entry_bound is None:
-                entry_bound = int(metadata["entry_bound"])
-            inner = modular.StackedPlan(
-                matrix,
-                q_bits,
-                entry_bound=entry_bound,
-                limb_bits=limb_bits,
-                chunk_rows=chunk_rows,
-                timer_label=self.timer_label,
-            )
-        return ReferencePlan(inner)
+        if metadata is not None and entry_bound is None:
+            entry_bound = int(metadata["entry_bound"])
+        return ReferencePlan(
+            matrix,
+            q_bits,
+            entry_bound=entry_bound,
+            limb_bits=limb_bits,
+            chunk_rows=chunk_rows,
+            timer_label=self.timer_label,
+        )

@@ -246,22 +246,19 @@ class SharedMemoryPlan(PlanContextMixin):
         return self.limb_bits > 0
 
     def matmul(self, stacked: np.ndarray) -> np.ndarray:
-        """The exact stacked product, fanned out across the pool."""
+        """The exact stacked product, fanned out across the pool.
+
+        A stack narrower than ``modular.LIMB_MIN_BATCH`` does not
+        amortize the fan-out; it runs on the parent's zero-copy view
+        of the shared matrix.
+        """
         if self._ring is None:
             raise KernelUnavailable("multiprocess plan is closed")
-        stacked = np.asarray(stacked, dtype=self._dtype)
-        if stacked.ndim != 2:
-            raise ValueError(
-                f"stacked ciphertexts must form a (cols, Q) matrix;"
-                f" got shape {stacked.shape}"
-            )
-        if stacked.shape[0] != self.cols:
-            raise ValueError(
-                f"stacked ciphertexts have {stacked.shape[0]} rows,"
-                f" expected {self.cols}"
-            )
+        stacked = modular.as_stacked(stacked, self.cols, self.q_bits)
         batch = stacked.shape[1]
-        if batch == 0 or self.rows == 0:
+        if batch < modular.LIMB_MIN_BATCH:
+            return modular.matmul(self._ring, stacked, self.q_bits)
+        if self.rows == 0:
             return np.zeros((self.rows, batch), dtype=self._dtype)
         with _obs.kernel_timer(self.timer_label):
             in_shm = shared_memory.SharedMemory(
@@ -297,18 +294,6 @@ class SharedMemoryPlan(PlanContextMixin):
                 in_shm.unlink()
                 out_shm.close()
                 out_shm.unlink()
-
-    def matvec(self, vec: np.ndarray) -> np.ndarray:
-        """Single-query product, computed in-process on the shared ring.
-
-        One matrix-vector scan does not amortize the fan-out cost, so
-        it runs on the parent's zero-copy view of the shared matrix.
-        """
-        if self._ring is None:
-            raise KernelUnavailable("multiprocess plan is closed")
-        return modular.matmul(
-            self._ring, np.asarray(vec).reshape(-1), self.q_bits
-        )
 
     def metadata(self) -> dict:
         """Serializable plan parameters -- same shape as the reference."""

@@ -165,6 +165,15 @@ MIN_LIMB_BITS = 16
 #: float64 represents every integer of magnitude below 2^53 exactly.
 _FLOAT_EXACT_BITS = 53
 
+#: Narrowest stack a plan hands to its batched strategy (float64 limbs,
+#: a thread or process fan-out).  A single column runs as the plain
+#: integer product instead: measured on 102x2656 at q = 2^64 with BLAS
+#: on one thread, integer 0.17 ms against 0.17 ms through the limbs at
+#: Q=1 (0.67 ms through the C kernel, more through a process pool),
+#: 2.8 ms against 1.1 ms at Q=16; between Q=2 and Q=4 the winner
+#: depends on the shape.  A measured constant, not a setting.
+LIMB_MIN_BATCH = 2
+
 
 def exact_limb_bits(bound: int, cols: int, q_bits: int) -> int:
     """Widest limb for which the float64 partial sums stay exact.
@@ -229,6 +238,22 @@ def limb_product(
     return acc if q_bits == 64 else acc.astype(dtype_for(q_bits))
 
 
+def as_stacked(stacked: np.ndarray, cols: int, q_bits: int) -> np.ndarray:
+    """Validate a (cols, Q) ciphertext stack and lift it into the ring."""
+    stacked = np.asarray(stacked, dtype=dtype_for(q_bits))
+    if stacked.ndim != 2:
+        raise ValueError(
+            f"stacked ciphertexts must form a (cols, Q) matrix;"
+            f" got shape {stacked.shape}"
+        )
+    if stacked.shape[0] != cols:
+        raise ValueError(
+            f"stacked ciphertexts have {stacked.shape[0]} rows,"
+            f" expected {cols}"
+        )
+    return stacked
+
+
 class StackedPlan:
     """Preprocessed state for exact stacked products ``M @ B`` over Z_{2^k}.
 
@@ -244,9 +269,8 @@ class StackedPlan:
     ``M_centered @ limb`` stays strictly below 2^53 in magnitude.
     Every term and every intermediate sum of each dgemm is then an
     exactly representable integer, so the limbs recombine with
-    wraparound shifts into the exact mod-2^k result.  Column i of the
-    output is bit-identical to ``matvec(M, B[:, i], q_bits)`` whichever
-    path runs.
+    wraparound shifts into the exact mod-2^k result, bit-identical to
+    the integer product :func:`matmul` whichever path runs.
 
     Matrices whose centered entries are too large for an exact limb
     split fall back to the native unsigned integer matmul (also exact).
@@ -300,9 +324,9 @@ class StackedPlan:
             raise ValueError("chunk_rows must be non-negative")
         self.chunk_rows = int(chunk_rows)
         self.timer_label = timer_label
-        # The float64 limb copy is staged lazily on the first stacked
-        # product, so plans serving only matrix-vector traffic never pay
-        # the extra 8-byte word per entry.
+        # The float64 limb copy is staged lazily on the first product
+        # wide enough for the limb path, so plans serving only single
+        # queries never pay the extra 8-byte word per entry.
         self._float = None
 
     @property
@@ -370,21 +394,13 @@ class StackedPlan:
         """The exact stacked product ``M @ B`` in Z_{2^q_bits}.
 
         ``stacked`` has shape (cols, Q): one query ciphertext per
-        column.  Returns the (rows, Q) evaluated columns.
+        column.  Returns the (rows, Q) evaluated columns.  Stacks
+        narrower than :data:`LIMB_MIN_BATCH` run on the native integer
+        path and never trigger the float64 copy, so a plan that only
+        sees single queries stays as cheap as the bare ring matrix.
         """
-        dtype = dtype_for(self.q_bits)
-        stacked = np.asarray(stacked, dtype=dtype)
-        if stacked.ndim != 2:
-            raise ValueError(
-                f"stacked ciphertexts must form a (cols, Q) matrix;"
-                f" got shape {stacked.shape}"
-            )
-        if stacked.shape[0] != self.cols:
-            raise ValueError(
-                f"stacked ciphertexts have {stacked.shape[0]} rows,"
-                f" expected {self.cols}"
-            )
-        if self.limb_bits == 0:
+        stacked = as_stacked(stacked, self.cols, self.q_bits)
+        if self.limb_bits == 0 or stacked.shape[1] < LIMB_MIN_BATCH:
             return matmul(self.ring, stacked, self.q_bits)
         with _obs.kernel_timer(self.timer_label):
             return limb_product(
@@ -394,16 +410,6 @@ class StackedPlan:
                 self.q_bits,
                 chunk_rows=self.chunk_rows,
             )
-
-    def matvec(self, vec: np.ndarray) -> np.ndarray:
-        """The exact single-query product ``M @ v`` in Z_{2^q_bits}.
-
-        Runs on the native integer path -- one matrix-vector product
-        needs no limb staging -- and never triggers the float64 copy,
-        so plans on the single-query path stay as cheap as the bare
-        ring matrix.
-        """
-        return matmul(self.ring, np.asarray(vec).reshape(-1), self.q_bits)
 
     def close(self) -> None:
         """Release the staged float copy.  Kernel-backend plans share
@@ -460,12 +466,12 @@ def clear_plan_cache() -> None:
 def stacked_matmul(a: np.ndarray, b: np.ndarray, q_bits: int) -> np.ndarray:
     """One-shot exact stacked product over Z_{2^q_bits}.
 
-    Column i of the result is bit-identical to ``matvec(a, b[:, i],
-    q_bits)``.  Repeated calls on the same matrix hit a small LRU keyed
-    on the matrix's content digest, so the entry-bound scan and float64
-    staging are paid once, not per call.  Long-lived matrices should
-    still build a :class:`StackedPlan` (or a kernel-backend plan) once
-    explicitly -- the cache is a convenience, not a lifecycle.
+    Bit-identical to ``matmul(a, b, q_bits)``.  Repeated calls on the
+    same matrix hit a small LRU keyed on the matrix's content digest,
+    so the entry-bound scan and float64 staging are paid once, not per
+    call.  Long-lived matrices should still build a
+    :class:`StackedPlan` (or a kernel-backend plan) once explicitly --
+    the cache is a convenience, not a lifecycle.
     """
     ring = to_ring(np.asarray(a), q_bits)
     if ring.ndim != 2:

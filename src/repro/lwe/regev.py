@@ -150,20 +150,13 @@ class RegevScheme:
         return modular.matmul(matrix, self.a, self.params.q_bits)
 
     def apply(self, matrix: np.ndarray, ct: Ciphertext) -> np.ndarray:
-        """Homomorphically compute ``Enc(M v)`` -- the online hot loop.
-
-        Returns the evaluated ciphertext vector ``a = M c`` in Z_q^l.
-        This is the ~2*N word operations per query of SS6.1.  The
-        ``kernel.lwe.apply`` timer contains ``kernel.lwe.matmul``.
-        """
-        matrix = self._check_matrix(matrix)
-        with _obs.kernel_timer("lwe.apply"):
-            return modular.matvec(matrix, ct.c, self.params.q_bits)
+        """``Enc(M v)`` for one ciphertext: :meth:`apply_batch` of one."""
+        return self.apply_batch(matrix, [ct])[:, 0]
 
     def batch_plan(
         self, matrix: np.ndarray, *, backend: str | None = None, **plan_kwargs
     ):
-        """Message-independent preprocessing for batched Apply calls.
+        """Message-independent preprocessing for Apply calls.
 
         Like the hint, the plan depends only on ``M``; long-lived
         servers build it once and feed it to :meth:`apply_batch`.
@@ -184,23 +177,29 @@ class RegevScheme:
         cts: Sequence[Ciphertext] | np.ndarray,
         plan=None,
     ) -> np.ndarray:
-        """Homomorphically evaluate ``M`` against Q stacked queries.
+        """Homomorphically compute ``Enc(M v)`` for Q stacked queries.
 
-        ``cts`` is either a sequence of ciphertexts or an already
-        stacked (m, Q) column matrix.  Returns the (rows, Q) evaluated
-        columns; column i is bit-identical to ``apply(matrix, cts[i])``
-        (both paths are exact mod-2^k ring arithmetic).  Pass a
-        precomputed ``plan`` to skip the per-call preprocessing, in
-        which case ``matrix`` may be None.
+        The online hot loop -- the ~2*N word operations per query of
+        SS6.1, streamed over ``M`` once per call.  ``cts`` is either a
+        sequence of ciphertexts (possibly empty) or an already stacked
+        (m, Q) column matrix.  Returns the (rows, Q) evaluated columns
+        ``a = M c`` in Z_q.  Pass a precomputed ``plan`` to skip the
+        per-call preprocessing, in which case ``matrix`` may be None.
+        The ``kernel.lwe.apply`` timer contains the plan's product.
         """
         if plan is None:
             if matrix is None:
                 raise ValueError("apply_batch needs a matrix or a plan")
             plan = self.batch_plan(matrix)
-        stacked = (
-            cts if isinstance(cts, np.ndarray) else stack_ciphertexts(cts)
-        )
-        with _obs.kernel_timer("lwe.apply_batch"):
+        if isinstance(cts, np.ndarray):
+            stacked = cts
+        elif len(cts) == 0:
+            stacked = np.empty(
+                (self.params.m, 0), dtype=modular.dtype_for(self.params.q_bits)
+            )
+        else:
+            stacked = stack_ciphertexts(cts)
+        with _obs.kernel_timer("lwe.apply"):
             return plan.matmul(stacked)
 
     def decrypt(

@@ -15,13 +15,14 @@ that linear scan is what the privacy argument requires (SS3.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.homenc.double import DoubleLheParams, DoubleLheScheme
 from repro.lwe import modular, sampling
 from repro.lwe.params import LweParams, SecurityLevel, select_params
-from repro.lwe.regev import Ciphertext, SecretKey, stack_ciphertexts
+from repro.lwe.regev import Ciphertext, SecretKey
 from repro.pir.database import PackedDatabase
 
 
@@ -68,27 +69,29 @@ class SimplePirServer:
             )
         self.db = db
         self.scheme = scheme
-        self.prep = scheme.preprocess(db.matrix)
-        #: Kernel-backend selection for the batched scan; ``None``
-        #: resolves to the reference path (see repro.lwe.backends).
+        #: Kernel-backend selection for the scan; ``None`` resolves to
+        #: the reference path (see repro.lwe.backends).
         self.kernel_backend = kernel_backend
         self.kernel_opts = dict(kernel_opts or {})
         self._plan = None
 
+    @cached_property
+    def prep(self):
+        """The hint and its switched form, computed on first use (a
+        server fronted by a token factory that already holds them
+        never pays for a second copy)."""
+        return self.scheme.preprocess(self.db.matrix)
+
     def answer(self, query: PirQuery) -> PirAnswer:
-        """The online hot loop: one matrix-vector product over the DB."""
-        values = self.scheme.apply(self.db.matrix, query.ciphertext)
-        return PirAnswer(
-            values=values,
-            bytes_per_element=self.scheme.params.inner.bytes_per_element,
-        )
+        """Answer one query: :meth:`answer_batch` of one."""
+        return self.answer_batch([query])[0]
 
     def answer_batch(self, queries: list[PirQuery]) -> list[PirAnswer]:
-        """Answer Q queries with one matrix-matrix product over the DB.
+        """The online hot loop: one product over the DB for Q queries.
 
-        Column i of the stacked product is bit-identical to
-        ``answer(queries[i]).values``; the batch plan is built lazily
-        and reused across calls (it depends only on the database).
+        The kernel plan is built on the first call and reused (it
+        depends only on the database), so the ring conversion of the
+        database happens once per server, not per query.
         """
         if not queries:
             return []
@@ -98,16 +101,23 @@ class SimplePirServer:
                 backend=self.kernel_backend,
                 **self.kernel_opts,
             )
-        stacked = stack_ciphertexts([q.ciphertext for q in queries])
-        values = self.scheme.apply_batch(None, stacked, plan=self._plan)
+        values = self.scheme.apply_batch(
+            None, [q.ciphertext for q in queries], plan=self._plan
+        )
         per_el = self.scheme.params.inner.bytes_per_element
         return [
             PirAnswer(values=values[:, i], bytes_per_element=per_el)
             for i in range(len(queries))
         ]
 
+    @property
+    def effective_backend(self) -> str | None:
+        """The backend actually executing -- after availability
+        fallback -- or None while the plan is still unbuilt."""
+        return getattr(self._plan, "backend_name", None)
+
     def close(self) -> None:
-        """Release the batch plan (worker pools, shared segments)."""
+        """Release the kernel plan (worker pools, shared segments)."""
         if self._plan is not None:
             self._plan.close()
             self._plan = None

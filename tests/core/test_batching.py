@@ -8,6 +8,8 @@ import pytest
 from repro.core.cluster_runtime import ShardedRankingService, WorkerFailure
 from repro.core.ranking import RankingClient
 from repro.embeddings.quantize import quantize
+from repro.lwe import modular
+from repro.lwe.regev import stack_ciphertexts
 
 
 @pytest.fixture(scope="module")
@@ -36,12 +38,26 @@ def batch_setup(engine):
 
 
 class TestBatchedAnswers:
-    def test_matches_individual_answers(self, batch_setup):
+    @pytest.mark.parametrize("batch", [1, 6])
+    def test_matches_the_integer_product(self, engine, batch_setup, batch):
+        """Sharded fan-out + fold against one unsharded integer product
+        over the whole matrix."""
         service, queries = batch_setup
-        individual = [service.answer(q).values for q in queries]
-        batched = [a.values for a in service.answer_batch(queries)]
-        for got, want in zip(batched, individual):
-            assert np.array_equal(got, want)
+        index = engine.index
+        q_bits = index.ranking_scheme.params.inner.q_bits
+        want = modular.matmul(
+            modular.to_ring(index.layout.matrix, q_bits),
+            stack_ciphertexts([q.ciphertext for q in queries[:batch]]),
+            q_bits,
+        )
+        batched = service.answer_batch(queries[:batch])
+        assert len(batched) == batch
+        for i, answer in enumerate(batched):
+            assert np.array_equal(answer.values, want[:, i])
+        if batch == 1:
+            assert np.array_equal(
+                service.answer(queries[0]).values, want[:, 0]
+            )
 
     def test_empty_batch(self, batch_setup):
         service, _ = batch_setup
@@ -78,96 +94,29 @@ class TestBatchedAnswers:
         assert batched_s < individual_s * 1.5
 
 
-class TestParallelBatch:
-    """Regression: answer_batch ran shards serially even when
-    ``parallel=True``; it must fan out AND stay bit-identical."""
+class TestPlanLifecycle:
+    """The shard plans are the service's only held resource."""
 
-    def _build(self, engine, parallel):
-        index = engine.index
-        service = ShardedRankingService.build(
-            index.ranking_scheme, index.layout.matrix, index.layout.dim, 4
-        )
-        service.parallel = parallel
-        return service
-
-    def test_parallel_batch_bit_identical_to_serial(self, engine, batch_setup):
-        _, queries = batch_setup
-        serial = self._build(engine, parallel=False)
-        parallel = self._build(engine, parallel=True)
-        try:
-            a_serial = serial.answer_batch(queries)
-            a_parallel = parallel.answer_batch(queries)
-            for got, want in zip(a_parallel, a_serial):
-                assert np.array_equal(got.values, want.values)
-        finally:
-            serial.close()
-            parallel.close()
-
-    def test_parallel_batch_matches_individual_answers(self, engine, batch_setup):
-        _, queries = batch_setup
-        with self._build(engine, parallel=True) as service:
-            individual = [service.answer(q).values for q in queries]
-            batched = [a.values for a in service.answer_batch(queries)]
-        for got, want in zip(batched, individual):
-            assert np.array_equal(got, want)
-
-    def test_parallel_batch_runs_on_pool_threads(
-        self, engine, batch_setup, monkeypatch
-    ):
-        import threading
-
-        from repro.core.cluster_runtime import RankingWorker
-
-        _, queries = batch_setup
-        threads = set()
-        real_answer = RankingWorker.answer_stacked
-
-        def spying_answer(worker, chunk):
-            threads.add(threading.get_ident())
-            return real_answer(worker, chunk)
-
-        monkeypatch.setattr(RankingWorker, "answer_stacked", spying_answer)
-        with self._build(engine, parallel=True) as service:
-            service.answer_batch(queries)
-        # The regression ran every shard on the calling thread; the fix
-        # hands all shard scans to pool threads.
-        assert threads and threading.get_ident() not in threads
-
-    def test_worker_failure_blocks_parallel_batch(self, engine, batch_setup):
-        _, queries = batch_setup
-        with self._build(engine, parallel=True) as service:
-            service.fail_worker(2)
-            with pytest.raises(WorkerFailure):
-                service.answer_batch(queries)
-
-
-class TestPoolLifecycle:
-    """Regression: the shard thread pool was never shut down."""
-
-    def test_close_shuts_down_pool(self, engine, batch_setup):
-        _, queries = batch_setup
-        service = ShardedRankingService.build(
+    def _build(self, engine):
+        return ShardedRankingService.build(
             engine.index.ranking_scheme,
             engine.index.layout.matrix,
             engine.index.layout.dim,
             3,
         )
-        service.parallel = True
+
+    def test_close_drops_plans_and_is_idempotent(self, engine, batch_setup):
+        _, queries = batch_setup
+        service = self._build(engine)
         service.answer(queries[0])
-        assert service._pool is not None
+        assert all(w._plan is not None for w in service.workers)
         service.close()
-        assert service._pool is None
+        assert all(w._plan is None for w in service.workers)
         service.close()  # idempotent
 
-    def test_answer_after_close_recreates_pool(self, engine, batch_setup):
+    def test_answer_after_close_rebuilds_plans(self, engine, batch_setup):
         _, queries = batch_setup
-        service = ShardedRankingService.build(
-            engine.index.ranking_scheme,
-            engine.index.layout.matrix,
-            engine.index.layout.dim,
-            3,
-        )
-        service.parallel = True
+        service = self._build(engine)
         want = service.answer(queries[0]).values
         service.close()
         got = service.answer(queries[0]).values
@@ -176,18 +125,12 @@ class TestPoolLifecycle:
 
     def test_context_manager_closes(self, engine, batch_setup):
         _, queries = batch_setup
-        with ShardedRankingService.build(
-            engine.index.ranking_scheme,
-            engine.index.layout.matrix,
-            engine.index.layout.dim,
-            3,
-        ) as service:
-            service.parallel = True
+        with self._build(engine) as service:
             service.answer(queries[0])
-            assert service._pool is not None
-        assert service._pool is None
+            assert all(w._plan is not None for w in service.workers)
+        assert all(w._plan is None for w in service.workers)
 
-    def test_engine_close_reaches_ranking_pool(self, corpus):
+    def test_engine_close_reaches_ranking_plans(self, corpus):
         from repro import TiptoeConfig, TiptoeEngine
 
         with TiptoeEngine.build(
@@ -196,6 +139,7 @@ class TestPoolLifecycle:
             TiptoeConfig(),
             rng=np.random.default_rng(4),
         ) as engine:
-            engine.ranking_service.parallel = True
             engine.search(corpus.documents[0].text, np.random.default_rng(5))
-        assert engine.ranking_service._pool is None
+            workers = engine.ranking_service.workers
+            assert all(w._plan is not None for w in workers)
+        assert all(w._plan is None for w in workers)

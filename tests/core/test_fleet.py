@@ -24,7 +24,7 @@ from repro.core.fleet import (
     UnknownGeneration,
 )
 from repro.core.indexer import TiptoeIndex
-from repro.core.ranking import RankingClient
+from repro.core.ranking import RankingBatch, RankingClient
 from repro.core.services import build_services
 from repro.corpus import SyntheticCorpus, SyntheticCorpusConfig
 from repro.embeddings.quantize import quantize
@@ -184,6 +184,21 @@ def build_ranking_query(index, seed):
 
 def ranking_blob(index, seed):
     return wire.encode_ciphertext(build_ranking_query(index, seed).ciphertext)
+
+
+def ranking_request(index, seed, method):
+    """A framed fan-out request: one ciphertext for ``answer``, a
+    two-query stack for ``answer_batch``."""
+    if method == "answer":
+        return rpc.frame(method, ranking_blob(index, seed))
+    batch = RankingBatch.from_queries(
+        [build_ranking_query(index, seed + i) for i in range(2)]
+    )
+    return rpc.frame(method, wire.encode_batch(batch))
+
+
+def live_replicas(router, shard):
+    return router.health()["generations"]["deadbeef"][shard]["live"]
 
 
 class TestGenerationAddressing:
@@ -371,31 +386,41 @@ class TestRouting:
         assert router.stats.failovers == 0
 
 
-class TestFailover:
-    def test_killed_replica_fails_over_and_counts(self, index, fleet):
-        fake, router = fleet
-        fake.killed.add(fake.port(1, 0))
-        blob = ranking_blob(index, 8)
-        response = router.route("ranking", rpc.frame("answer", blob))
-        assert rpc.unframe(response)[0] == "answer"
-        assert router.stats.failovers >= 1
+FANOUT_METHODS = pytest.mark.parametrize("method", ["answer", "answer_batch"])
 
-    def test_failed_over_answer_stays_bit_identical(self, index, fleet):
+
+class TestFailover:
+    @FANOUT_METHODS
+    def test_killed_replica_fails_over_and_counts(self, index, fleet, method):
         fake, router = fleet
-        blob = ranking_blob(index, 9)
-        healthy = router.route("ranking", rpc.frame("answer", blob))
+        assert live_replicas(router, 1) == REPLICAS
+        fake.killed.add(fake.port(1, 0))
+        response = router.route("ranking", ranking_request(index, 8, method))
+        assert rpc.unframe(response)[0] == method
+        assert router.stats.failovers >= 1
+        assert live_replicas(router, 1) == REPLICAS - 1
+
+    @FANOUT_METHODS
+    def test_failed_over_answer_stays_bit_identical(
+        self, index, fleet, method
+    ):
+        fake, router = fleet
+        request = ranking_request(index, 9, method)
+        healthy = router.route("ranking", request)
         fake.killed.add(fake.port(0, 0))
         fake.killed.add(fake.port(2, 1))
-        degraded = router.route("ranking", rpc.frame("answer", blob))
+        degraded = router.route("ranking", request)
         assert healthy == degraded
 
-    def test_no_live_replica_raises(self, index, fleet):
+    @FANOUT_METHODS
+    def test_no_live_replica_raises(self, index, fleet, method):
         fake, router = fleet
         fake.killed.add(fake.port(1, 0))
         fake.killed.add(fake.port(1, 1))
-        blob = ranking_blob(index, 10)
         with pytest.raises(NoLiveReplica):
-            router.route("ranking", rpc.frame("answer", blob))
+            router.route("ranking", ranking_request(index, 10, method))
+        assert live_replicas(router, 1) == 0
+        assert live_replicas(router, 0) == REPLICAS
 
     def test_prober_revives_a_recovered_replica(self, fleet):
         fake, router = fleet

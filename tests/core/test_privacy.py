@@ -124,10 +124,16 @@ class TestServerScansEverything:
     def test_ranking_touches_every_cluster(self, engine):
         """Cost is identical whichever cluster the client probes --
         the linear scan the privacy argument requires (SS3.1)."""
-        from repro.core.ranking import RankingClient, RankingService
+        from repro.core.cluster_runtime import ShardedRankingService
+        from repro.core.ranking import RankingClient
 
         index = engine.index
-        service = RankingService(index.ranking_scheme, index.layout.matrix)
+        service = ShardedRankingService.build(
+            index.ranking_scheme,
+            index.layout.matrix,
+            dim=index.layout.dim,
+            num_workers=1,
+        )
         client = RankingClient(
             index.ranking_scheme,
             dim=index.layout.dim,

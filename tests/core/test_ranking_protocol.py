@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.cluster_runtime import ShardedRankingService, WorkerFailure
-from repro.core.ranking import (
-    RankingClient,
-    RankingService,
-    build_query_vector,
-)
+from repro.core.ranking import RankingClient, build_query_vector
 from repro.embeddings.quantize import quantize
+from repro.lwe import modular
 
 
 class TestQueryVector:
@@ -33,7 +30,12 @@ def ranking_setup(engine):
         dim=index.layout.dim,
         num_clusters=index.layout.num_clusters,
     )
-    service = RankingService(index.ranking_scheme, index.layout.matrix)
+    service = ShardedRankingService.build(
+        index.ranking_scheme,
+        index.layout.matrix,
+        dim=index.layout.dim,
+        num_workers=1,
+    )
     return index, client, service
 
 
@@ -82,8 +84,8 @@ class TestRankingCorrectness:
 
 
 class TestShardedService:
-    def test_sharded_matches_single_node(self, engine, ranking_setup):
-        index, client, single = ranking_setup
+    def test_sharded_matches_the_integer_product(self, engine, ranking_setup):
+        index, client, _ = ranking_setup
         keys, hints = fresh_keyed_token(engine, 4)
         q_emb = quantize(index.embeddings[7] * index.quantization_gain, index.config.quantization())
         query = client.build_query(
@@ -95,9 +97,13 @@ class TestShardedService:
             dim=index.layout.dim,
             num_workers=5,
         )
-        a1 = single.answer(query)
-        a2 = sharded.answer(query)
-        assert np.array_equal(a1.values, a2.values)
+        q_bits = index.ranking_scheme.params.inner.q_bits
+        want = modular.matmul(
+            modular.to_ring(index.layout.matrix, q_bits),
+            query.ciphertext.c,
+            q_bits,
+        )
+        assert np.array_equal(sharded.answer(query).values, want)
 
     def test_shards_partition_all_columns(self, engine):
         index = engine.index

@@ -1,13 +1,16 @@
-"""Batched double-layer evaluation: bit-identity and key isolation.
+"""Batched double-layer evaluation: exactness and key isolation.
 
-Two contracts:
+Two contracts, each checked against a reference that shares no code
+with the batch body (``apply`` / ``evaluate_hint`` are that body on a
+batch of one, so they cannot serve as one):
 
 * ``apply_batch`` (inner layer, delegated through the double scheme)
-  returns per-column results bit-identical to sequential ``apply``;
+  equals the plain integer ``modular.matmul`` product;
 * ``evaluate_hint_batch`` shares only the client-independent work (the
   plaintext hint polynomials and their NTTs) -- every client's
   pointwise products run against that client's own encrypted key, so
-  each returned hint equals ``evaluate_hint`` for that client exactly.
+  each returned hint decrypts, under that client's keys alone, to the
+  plaintext product ``H' s mod T``.
 """
 
 import numpy as np
@@ -16,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.homenc import DoubleLheParams, DoubleLheScheme
-from repro.lwe import LweParams
+from repro.lwe import LweParams, modular
+from repro.lwe.regev import stack_ciphertexts
 from repro.lwe.sampling import seeded_rng
 
 
@@ -34,26 +38,34 @@ def double_setup():
     for c in range(3):
         keys = scheme.gen_keys(rng)
         enc_key = scheme.encrypt_key(keys, rng)
-        cts = [
-            scheme.encrypt(keys, rng.integers(-4, 5, 20), rng)
-            for _ in range(2)
-        ]
-        clients.append((keys, enc_key, cts))
+        msgs = [rng.integers(-4, 5, 20) for _ in range(2)]
+        cts = [scheme.encrypt(keys, msg, rng) for msg in msgs]
+        clients.append((keys, enc_key, cts, msgs))
     return scheme, matrix, prep, clients
+
+
+def hint_product_in_the_clear(scheme, prep, keys):
+    """``H' s mod T`` from the switched hint and the bare secret."""
+    t = scheme.params.switch_modulus
+    return (
+        prep.switched_hint.astype(object) @ keys.inner.signed().astype(object)
+    ) % t
 
 
 class TestDoubleApplyBatch:
     @pytest.mark.parametrize("batch", [1, 2, 5, 6])
-    def test_bit_identical_to_apply(self, double_setup, batch):
+    def test_bit_identical_to_integer_product(self, double_setup, batch):
         scheme, matrix, _, clients = double_setup
-        cts = [ct for _, _, ccts in clients for ct in ccts][:batch]
+        cts = [ct for _, _, ccts, _ in clients for ct in ccts][:batch]
         got = scheme.apply_batch(matrix, cts)
-        for i, ct in enumerate(cts):
-            assert np.array_equal(got[:, i], scheme.apply(matrix, ct))
+        want = modular.matmul(
+            modular.to_ring(matrix, 32), stack_ciphertexts(cts), 32
+        )
+        assert np.array_equal(got, want)
 
     def test_plan_reuse_matches(self, double_setup):
         scheme, matrix, _, clients = double_setup
-        cts = [ct for _, _, ccts in clients for ct in ccts]
+        cts = [ct for _, _, ccts, _ in clients for ct in ccts]
         plan = scheme.batch_plan(matrix)
         assert np.array_equal(
             scheme.apply_batch(None, cts, plan=plan),
@@ -62,27 +74,21 @@ class TestDoubleApplyBatch:
 
 
 class TestEvaluateHintBatch:
-    def test_bit_identical_per_client(self, double_setup):
+    @pytest.mark.parametrize("num_clients", [1, 3])
+    def test_each_hint_decrypts_under_its_own_key(
+        self, double_setup, num_clients
+    ):
         scheme, _, prep, clients = double_setup
-        enc_keys = [enc_key for _, enc_key, _ in clients]
-        batched = scheme.evaluate_hint_batch(enc_keys, prep)
-        assert len(batched) == len(enc_keys)
-        for enc_key, got in zip(enc_keys, batched):
-            want = scheme.evaluate_hint(enc_key, prep)
-            assert got.rows == want.rows
-            assert len(got.chunks) == len(want.chunks)
-            for ca, cb in zip(want.chunks, got.chunks):
-                assert np.array_equal(ca.b, cb.b)
-                assert np.array_equal(ca.a, cb.a)
-
-    def test_single_client_batch(self, double_setup):
-        scheme, _, prep, clients = double_setup
-        _, enc_key, _ = clients[0]
-        (got,) = scheme.evaluate_hint_batch([enc_key], prep)
-        want = scheme.evaluate_hint(enc_key, prep)
-        for ca, cb in zip(want.chunks, got.chunks):
-            assert np.array_equal(ca.b, cb.b)
-            assert np.array_equal(ca.a, cb.a)
+        clients = clients[:num_clients]
+        batched = scheme.evaluate_hint_batch(
+            [enc_key for _, enc_key, _, _ in clients], prep
+        )
+        assert len(batched) == num_clients
+        for (keys, _, _, _), hint in zip(clients, batched):
+            assert hint.rows == prep.rows
+            got = scheme.decrypt_hint_product(keys, hint)
+            want = hint_product_in_the_clear(scheme, prep, keys)
+            assert np.array_equal(got.astype(object), want)
 
     def test_empty_batch(self, double_setup):
         scheme, _, prep, _ = double_setup
@@ -91,14 +97,14 @@ class TestEvaluateHintBatch:
     def test_batched_hints_decrypt_correct_scores(self, double_setup):
         """End to end: token minted via the batch path still decrypts."""
         scheme, matrix, prep, clients = double_setup
-        enc_keys = [enc_key for _, enc_key, _ in clients]
+        enc_keys = [enc_key for _, enc_key, _, _ in clients]
         batched = scheme.evaluate_hint_batch(enc_keys, prep)
-        for (keys, _, cts), hint in zip(clients, batched):
+        for (keys, _, cts, msgs), hint in zip(clients, batched):
             hint_product = scheme.decrypt_hint_product(keys, hint)
             got = scheme.decrypt_centered(
-                keys, scheme.apply(matrix, cts[0]), hint_product
+                keys, scheme.apply_batch(matrix, cts[:1])[:, 0], hint_product
             )
-            assert got.shape == (matrix.shape[0],)
+            assert np.array_equal(got, matrix @ msgs[0])
 
 
 @st.composite

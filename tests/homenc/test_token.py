@@ -122,13 +122,19 @@ class TestMintMany:
             for name in ("ranking", "url"):
                 assert_hints_equal(payload.hints[name], lone.hints[name])
 
-    def test_single_client_batch_matches_mint(self, two_services):
+    def test_lone_mint_decrypts_to_the_clear_hint_product(self, two_services):
+        """``mint`` is ``mint_many`` of one, so it is checked against
+        the plaintext: each hint decrypts to ``H' s mod T``."""
         schemes, factory, _, _ = two_services
-        _, enc_keys, _ = make_client_keys(schemes, seeded_rng(40))
-        (payload,) = factory.mint_many([enc_keys])
-        lone = factory.mint(enc_keys)
-        for name in ("ranking", "url"):
-            assert_hints_equal(payload.hints[name], lone.hints[name])
+        keys, enc_keys, _ = make_client_keys(schemes, seeded_rng(40))
+        payload = factory.mint(enc_keys)
+        for name, scheme in schemes.items():
+            got = scheme.decrypt_hint_product(keys[name], payload.hints[name])
+            want = (
+                factory.service(name).prep.switched_hint.astype(object)
+                @ keys[name].inner.signed().astype(object)
+            ) % scheme.params.switch_modulus
+            assert np.array_equal(got.astype(object), want)
 
     def test_empty_batch_mints_nothing(self, two_services):
         _, factory, _, _ = two_services

@@ -24,7 +24,6 @@ from repro.lwe.backends import (
     register_backend,
     tune_matrix,
 )
-from repro.lwe.backends.numba_backend import NumbaBackend
 from repro.lwe.backends.shm import SharedMemoryBackend
 from repro.lwe.sampling import seeded_rng
 
@@ -38,7 +37,7 @@ def small_matrix():
 class TestRegistry:
     def test_shipped_backends_are_registered(self):
         names = backend_names()
-        for expected in ("reference", "multiprocess", "numba", "cnative"):
+        for expected in ("reference", "multiprocess", "cnative"):
             assert expected in names
 
     def test_default_and_auto_resolve_to_reference(self):
@@ -69,22 +68,6 @@ class TestRegistry:
     def test_backend_available_probes_one_backend(self):
         assert kernel_backends.backend_available("reference")
         assert not kernel_backends.backend_available("no-such-backend")
-
-
-class TestNumbaFallback:
-    def test_backend_is_always_available(self, small_matrix):
-        backend = NumbaBackend()
-        assert backend.available
-        plan = backend.plan(small_matrix, 32)
-        try:
-            if backend.jit_enabled:  # pragma: no cover - numba absent
-                assert plan.backend_name == "numba"
-            else:
-                # numba is not installed here: the backend must no-op
-                # to the reference kernel, not fail.
-                assert plan.backend_name == "reference"
-        finally:
-            plan.close()
 
 
 class TestSharedMemoryLifecycle:
@@ -295,14 +278,16 @@ class TestResolveKernelSelection:
         with pytest.raises(ValueError):
             TiptoeConfig(kernel_backend="")
 
-    def test_record_naming_unknown_backend_falls_back(self, caplog):
+    @pytest.mark.parametrize("name", ["cuda-h100", "numba"])
+    def test_record_naming_unknown_backend_falls_back(self, caplog, name):
         """Tuned-with-compiler, served-without: a sidecar whose backend
-        does not exist here must warn and serve reference defaults, not
-        refuse to cold-start."""
+        does not exist here -- or, like ``numba``, no longer exists in
+        any build -- must warn and serve reference defaults, not refuse
+        to cold-start."""
         record = {
             "kernel_plan": {
                 "ranking": {
-                    "backend": "cuda-h100",
+                    "backend": name,
                     "limb_bits": 17,
                     "chunk_rows": 0,
                     "workers": 4,
@@ -312,7 +297,7 @@ class TestResolveKernelSelection:
         with caplog.at_level("WARNING", logger="repro.core.services"):
             got = resolve_kernel_selection(TiptoeConfig(), record, "ranking")
         assert got == (None, {})
-        assert any("cuda-h100" in r.message for r in caplog.records)
+        assert any(name in r.message for r in caplog.records)
 
     def test_malformed_record_falls_back_under_auto(self, caplog):
         record = {"kernel_plan": {"ranking": {"backend": "reference"}}}

@@ -114,7 +114,7 @@ class TestPlanLifecycle:
         with pytest.raises(KernelUnavailable):
             plan.matmul(stacked)
         with pytest.raises(KernelUnavailable):
-            plan.matvec(stacked[:, 0])
+            plan.matmul(stacked[:, :1])
 
     def test_metadata_matches_reference(self, small_matrix):
         backend = _native_or_skip()

@@ -1,8 +1,10 @@
-"""Batched SimplePIR answers: bit-identity and full-protocol recovery."""
+"""Batched SimplePIR answers: exactness and full-protocol recovery."""
 
 import numpy as np
 import pytest
 
+from repro.lwe import modular
+from repro.lwe.regev import stack_ciphertexts
 from repro.pir.simplepir import build_pir
 
 
@@ -21,15 +23,19 @@ def pir_setup():
 
 class TestPirAnswerBatch:
     @pytest.mark.parametrize("batch", [1, 2, 5])
-    def test_bit_identical_to_answer(self, pir_setup, batch):
+    def test_bit_identical_to_integer_product(self, pir_setup, batch):
         _, server, _, clients = pir_setup
         queries = [q for _, _, q in clients[:batch]]
         got = server.answer_batch(queries)
         assert len(got) == batch
-        for query, answer in zip(queries, got):
-            want = server.answer(query)
-            assert np.array_equal(answer.values, want.values)
-            assert answer.bytes_per_element == want.bytes_per_element
+        want = modular.matmul(
+            modular.to_ring(server.db.matrix, 32),
+            stack_ciphertexts([q.ciphertext for q in queries]),
+            32,
+        )
+        for i, answer in enumerate(got):
+            assert np.array_equal(answer.values, want[:, i])
+            assert answer.bytes_per_element == 4
 
     def test_empty_batch(self, pir_setup):
         _, server, _, _ = pir_setup
