@@ -44,7 +44,7 @@ def _build_ranking():
     )
     rng = seeded_rng(2)
     matrix = rng.integers(-8, 8, size=(rows, dim * clusters))
-    service = ShardedRankingService.build(scheme, matrix, dim, 4)
+    service = ShardedRankingService.build(scheme, matrix, dim)
     client = RankingClient(scheme, dim=dim, num_clusters=clusters)
     keys = scheme.gen_keys(rng)
     embedding = rng.integers(-8, 8, size=dim)
@@ -80,7 +80,7 @@ def test_batching_scales_ranking_throughput():
         for g, w in zip(got, want):
             assert np.array_equal(g.values, w)
 
-    # Warm-up above also built each shard's StackedPlan, so the timed
+    # Warm-up above also built the service's StackedPlan, so the timed
     # region measures the steady state a long-lived server runs in.
     results = {}
     for batch_size in BATCH_SIZES:
@@ -107,7 +107,6 @@ def test_batching_scales_ranking_throughput():
             "phase": "ranking",
             "rows": 2000,
             "columns": 8192,
-            "workers": service.num_workers,
             "by_batch_size": {
                 str(b): results[b] for b in BATCH_SIZES
             },

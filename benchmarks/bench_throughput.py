@@ -80,8 +80,9 @@ def test_full_query_trace_dump(throughput_engine):
     """A traced query yields the full nested span tree, dumped as JSON.
 
     The trace is the paper's Figure-2 data path made visible: token
-    acquisition, embedding, the sharded ranking scan (one span per
-    worker), then URL PIR.
+    acquisition, embedding, the ranking scan (``ranking.answer`` is a
+    leaf: the kernel runs directly under it, timed into the
+    ``kernel.lwe.matmul`` histogram), then URL PIR.
     """
     tracer, registry = obs.enable()
     try:
@@ -91,9 +92,8 @@ def test_full_query_trace_dump(throughput_engine):
         obs.disable()
     assert root is not None and root.name == "client.search"
     assert root.child_names() == ["token", "embed", "ranking", "url"]
-    (coord,) = root.find("ranking.answer")
-    workers = coord.children
-    assert workers and all(s.name == "ranking.worker" for s in workers)
+    (answer,) = root.find("ranking.answer")
+    assert answer.children == [] and "workers" not in answer.attrs
     snap = registry.snapshot()
     assert snap["histograms"]["kernel.lwe.matmul"]["count"] > 0
     path = obs.dump_trace(root, OUT_DIR / "TRACE_query.json")

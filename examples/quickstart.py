@@ -29,8 +29,7 @@ def main() -> None:
     index = engine.index
     print(
         f"  {index.num_docs} documents in {index.clusters.num_clusters}"
-        f" clusters; {len(index.url_batches)} URL batches;"
-        f" {engine.ranking_service.num_workers} ranking workers"
+        f" clusters; {len(index.url_batches)} URL batches"
     )
 
     client = engine.new_client(np.random.default_rng(1))

@@ -538,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--workers", type=int, default=8)
     serve.add_argument(
-        "--shard", type=int, default=None,
+        "--shard", type=int, default=0,
         help="serve only this ranking shard (fleet worker mode);"
         " answers are partial sums the fleet router aggregates",
     )

@@ -8,7 +8,7 @@ Modules, bottom-up:
   cluster, build matrices, preprocess cryptography;
 * :mod:`ranking` -- the private nearest-neighbor protocol (SS4);
 * :mod:`url_service` -- PIR URL retrieval (SS5);
-* :mod:`cluster_runtime` -- coordinator + sharded workers (SS4.3);
+* :mod:`cluster_runtime` -- one ranking shard of the cluster cut (SS4.3);
 * :mod:`client` -- the Tiptoe client;
 * :mod:`engine` -- top-level assembly and public API.
 """

@@ -49,6 +49,7 @@ import hashlib
 import json
 import struct
 import zipfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -152,8 +153,6 @@ def _scheme_from_manifest(entry: dict) -> DoubleLheScheme:
 
 
 def _config_manifest(config: TiptoeConfig) -> dict:
-    from dataclasses import fields
-
     out = {}
     for f in fields(config):
         value = getattr(config, f.name)
@@ -163,6 +162,13 @@ def _config_manifest(config: TiptoeConfig) -> dict:
 
 def _config_from_manifest(entry: dict) -> TiptoeConfig:
     entry = dict(entry)
+    # Manifests written before this knob was retired still record it.
+    entry.pop("num_workers", None)
+    unknown = sorted(set(entry) - {f.name for f in fields(TiptoeConfig)})
+    if unknown:
+        raise ArtifactError(
+            f"manifest config has unknown key(s): {', '.join(unknown)}"
+        )
     entry["security"] = SecurityLevel(entry["security"])
     return TiptoeConfig(**entry)
 
@@ -479,14 +485,7 @@ def _read_blobs(path: Path) -> list[bytes]:
     return blobs
 
 
-def load_index(path: str | Path):
-    """Load an index saved by :func:`save_index`."""
-    import time
-
-    from repro.core.indexer import RankingLayout, TiptoeIndex
-
-    start = time.perf_counter()
-    path = Path(path)
+def _read_manifest(path: Path) -> dict:
     manifest_path = path / _MANIFEST
     if not manifest_path.is_file():
         raise ArtifactError(f"no {_MANIFEST} in {path}")
@@ -497,6 +496,26 @@ def load_index(path: str | Path):
             f"artifact schema is {schema!r}, this build reads {SCHEMA!r}"
             f" (compatible: {', '.join(COMPATIBLE_SCHEMAS)})"
         )
+    return manifest
+
+
+def num_clusters(path: str | Path) -> int:
+    """How many ranking clusters a saved index has, from its manifest
+    alone -- the most shards a fleet can cut it into."""
+    manifest = _read_manifest(Path(path))
+    width = manifest["schemes"]["ranking"]["inner"]["m"]
+    return int(width) // int(manifest["layout_dim"])
+
+
+def load_index(path: str | Path):
+    """Load an index saved by :func:`save_index`."""
+    import time
+
+    from repro.core.indexer import RankingLayout, TiptoeIndex
+
+    start = time.perf_counter()
+    path = Path(path)
+    manifest = _read_manifest(path)
 
     with np.load(path / _ARRAYS) as npz:
         arrays = {name: npz[name] for name in npz.files}

@@ -34,8 +34,6 @@ class TiptoeConfig:
     group_urls_by_content: bool = True
     #: Lattice security level (TOY for tests, PAPER_128 for benches).
     security: SecurityLevel = SecurityLevel.TOY
-    #: Number of ranking worker shards.
-    num_workers: int = 4
     #: How many top URLs a search returns (the paper: 100).
     results_per_query: int = 100
     #: Sample size for k-means training; None uses the full corpus.
@@ -85,8 +83,6 @@ class TiptoeConfig:
             1 <= self.pca_dim <= self.embedding_dim
         ):
             raise ValueError("pca_dim must be in [1, embedding_dim]")
-        if self.num_workers < 1:
-            raise ValueError("need at least one worker")
         if self.url_batch_size < 1:
             raise ValueError("URL batch size must be positive")
         if self.rpc_timeout_s <= 0:

@@ -92,10 +92,9 @@ class TiptoeEngine:
         # exists to shrink this number plus the first mint's NTT work.
         obs.observe("engine.cold_start_seconds", time.perf_counter() - start)
         logger.info(
-            "engine up (%s): %d clusters, %d ranking workers",
+            "engine up (%s): %d clusters",
             "loopback" if self.services else "remote",
             len(index.layout.cluster_offsets),
-            index.config.num_workers,
         )
 
     @classmethod

@@ -15,10 +15,10 @@ the multi-process reproduction:
   swap protocol.
 * Ranking requests fan out to every shard of one index *generation*;
   each shard worker holds only its cluster-column slice (see
-  :meth:`~repro.core.cluster_runtime.ShardedRankingService.build_shard`)
+  :meth:`~repro.core.cluster_runtime.ShardedRankingService.build`)
   and returns a partial answer.  The router sums partials with exact
   mod-2^k arithmetic, so a fleet answer is bit-identical to the
-  single-process coordinator on the same index.
+  single-process service on the same index.
 * URL / token / hint requests are whole on every worker; the router
   round-robins them across live replicas.
 * Replica failover: a retryable transport failure marks the replica,
@@ -632,7 +632,7 @@ class FleetRouter(Service):
         """Fan one ranking request out to every shard and fold the
         partial answers: wraparound (mod 2^k) addition is associative
         and commutative, so the folded sum is bit-identical to the
-        single-process coordinator's."""
+        single-process service's."""
         pool = self._pool
         num_shards = len(gen.clients)
         with obs.span("fleet.fanout", shards=num_shards, method=method):
@@ -812,8 +812,15 @@ class FleetLauncher:
         if self.procs:
             raise FleetError("launcher already started")
         from repro.core import artifacts
+        from repro.core.cluster_runtime import shard_bounds
 
         generation = artifacts.generation_tag(self.artifact)
+        try:
+            # Workers run with stderr discarded: catch the one start-up
+            # error an operator can cause before spawning any.
+            shard_bounds(artifacts.num_clusters(self.artifact), self.num_shards)
+        except ValueError as exc:
+            raise FleetError(f"{self.artifact}: {exc}") from None
         env = dict(os.environ)
         src_root = str(Path(__file__).resolve().parents[2])
         existing = env.get("PYTHONPATH")

@@ -47,10 +47,10 @@ class RankingBatch:
     """Q stacked ranking queries: one ciphertext per column.
 
     This is the unit the batch plane moves end to end: the scheduler
-    coalesces queries into one batch, the coordinator slices it by
-    shard, and each worker runs a single matrix-matrix product against
-    its column block.  Column order is the fan-out order, so answer
-    column i always belongs to query i.
+    coalesces queries into one batch and each shard runs a single
+    matrix-matrix product of its column block against its row-slice of
+    the stack.  Column order is the fan-out order, so answer column i
+    always belongs to query i.
     """
 
     stacked: np.ndarray  # (m, Q), one query ciphertext per column

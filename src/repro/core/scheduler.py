@@ -7,16 +7,16 @@ full load).  This module supplies the serving-side half of that
 amortization: requests arriving on concurrent transport threads are
 parked in an admission queue, a single dispatcher coalesces up to
 ``max_batch_size`` of them into one
-:class:`~repro.core.ranking.RankingBatch`, the coordinator answers the
-whole batch with one GEMM per shard, and the answers fan back out to
-the waiting threads.
+:class:`~repro.core.ranking.RankingBatch`, the ranking service answers
+the whole batch with one GEMM over its column slice, and the answers
+fan back out to the waiting threads.
 
 Batching changes *when* work happens, never *what* is computed: column
 i of the stacked product is the exact mod-2^k ring product of query
 i alone, so an answer does not depend on what it was batched with
-(asserted in tests).  A failure while scanning --
-e.g. a dead worker shard -- fails only the queries in that batch;
-the dispatcher keeps serving subsequent batches.
+(asserted in tests).  A failure while answering -- e.g. a stack of
+the wrong height -- fails only the queries in that batch; the
+dispatcher keeps serving subsequent batches.
 
 Latency policy: a batch is dispatched as soon as it is full, or once
 ``max_batch_wait_s`` has elapsed since its *first* query was enqueued,
@@ -79,7 +79,7 @@ class BatchScheduler:
 
     ``submit`` blocks the calling (transport) thread until its query's
     batch has been answered and returns that query's own answer; the
-    dispatcher thread is the only caller of the coordinator's
+    dispatcher thread is the only caller of the service's
     ``answer_stacked``.  Lifecycle is ``start`` / ``stop`` (idempotent,
     also usable as a context manager); the owning
     ``ShardedRankingService`` drives both from its ``open`` / ``close``.
@@ -159,9 +159,9 @@ class BatchScheduler:
     def submit(self, query: RankingQuery) -> RankingAnswer:
         """Enqueue one query and block until its answer is ready.
 
-        Raises whatever the batch execution raised (e.g.
-        ``WorkerFailure``) -- scoped to this batch only -- or
-        :class:`SchedulerClosed` if the scheduler is not running.
+        Raises whatever the batch execution raised -- scoped to this
+        batch only -- or :class:`SchedulerClosed` if the scheduler is
+        not running.
         """
         slot = _Slot(query, self._clock())
         with self._wakeup:
@@ -190,7 +190,7 @@ class BatchScheduler:
             "failed_queries": self.stats.failed_queries,
             "mean_batch_size": self.stats.mean_batch_size,
             # Which kernel backend the batches it dispatches execute on
-            # (the coordinator owns the plans; reference when unset).
+            # (the service owns the plan; reference when unset).
             "kernel_backend": getattr(self.service, "kernel_backend", None)
             or "reference",
         }

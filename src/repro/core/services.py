@@ -3,7 +3,8 @@
 One Tiptoe deployment serves four names:
 
 ``ranking``
-    The sharded coordinator (:class:`ShardedRankingService`).
+    One ranking shard (:class:`ShardedRankingService`), whole by
+    default.
 ``url``
     The URL PIR server (:class:`UrlService`).
 ``token``
@@ -185,12 +186,12 @@ def resolve_kernel_selection(
 
 
 def build_services(
-    index, *, shard: int | None = None, num_shards: int = 1
+    index, *, shard: int = 0, num_shards: int = 1
 ) -> dict[str, Service]:
     """Stand up the full service roster for one built index.
 
     When the config asks for cross-query batching
-    (``max_batch_size > 1``) the ranking coordinator gets a
+    (``max_batch_size > 1``) the ranking service gets a
     :class:`~repro.core.scheduler.BatchScheduler` attached; its
     dispatcher starts and stops with the service's ``open``/``close``.
 
@@ -199,11 +200,12 @@ def build_services(
     the ranking and URL services then skip their matrix entry scans
     when building stacked-GEMM plans.
 
-    With ``shard``/``num_shards`` set, the ranking service holds only
-    that shard's cluster columns and returns *partial* answers (see
-    :meth:`ShardedRankingService.build_shard`); url/token/hint remain
-    full -- they are cheap relative to the ranking scan and keeping
-    them whole lets any fleet worker serve them.
+    The ranking service holds only shard ``shard`` of ``num_shards``
+    of the cluster columns and returns *partial* answers (see
+    :meth:`ShardedRankingService.build`; the default is the whole
+    matrix); url/token/hint remain full -- they are cheap relative to
+    the ranking scan and keeping them whole lets any fleet worker
+    serve them.
     """
     plans = (index.precompute or {}).get("plans", {})
     ranking_meta = plans.get("ranking")
@@ -216,28 +218,16 @@ def build_services(
     url_backend, url_opts = resolve_kernel_selection(
         index.config, index.precompute, "url"
     )
-    if shard is not None:
-        ranking = ShardedRankingService.build_shard(
-            index.ranking_scheme,
-            index.layout.matrix,
-            dim=index.layout.dim,
-            shard=shard,
-            num_shards=num_shards,
-            num_workers=index.config.num_workers,
-            entry_bound=entry_bound,
-            kernel_backend=ranking_backend,
-            kernel_opts=ranking_opts,
-        )
-    else:
-        ranking = ShardedRankingService.build(
-            index.ranking_scheme,
-            index.layout.matrix,
-            dim=index.layout.dim,
-            num_workers=index.config.num_workers,
-            entry_bound=entry_bound,
-            kernel_backend=ranking_backend,
-            kernel_opts=ranking_opts,
-        )
+    ranking = ShardedRankingService.build(
+        index.ranking_scheme,
+        index.layout.matrix,
+        dim=index.layout.dim,
+        shard=shard,
+        num_shards=num_shards,
+        entry_bound=entry_bound,
+        kernel_backend=ranking_backend,
+        kernel_opts=ranking_opts,
+    )
     if index.config.max_batch_size > 1:
         from repro.core.scheduler import BatchScheduler
 

@@ -96,15 +96,39 @@ class TestValidation:
         with pytest.raises(ArtifactError, match="manifest"):
             load_index(tmp_path)
 
-    def test_schema_mismatch(self, saved, tmp_path):
+    @staticmethod
+    def _copy_with_edited_manifest(saved, dest, edit):
         for name in ("manifest.json", "vocab.json", "arrays.npz", "blobs.bin"):
-            (tmp_path / name).write_bytes((saved / name).read_bytes())
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        manifest["schema"] = "repro.index/v999"
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+            (dest / name).write_bytes((saved / name).read_bytes())
+        manifest = json.loads((dest / "manifest.json").read_text())
+        edit(manifest)
+        (dest / "manifest.json").write_text(json.dumps(manifest))
+
+    def test_schema_mismatch(self, saved, tmp_path):
+        self._copy_with_edited_manifest(
+            saved, tmp_path, lambda m: m.update(schema="repro.index/v999")
+        )
         with pytest.raises(ArtifactError, match="v999") as info:
             load_index(tmp_path)
         assert SCHEMA in str(info.value)  # tells the reader what *would* load
+
+    def test_manifest_of_an_earlier_build_still_loads(self, saved, tmp_path):
+        """A manifest written before ``num_workers`` was retired records
+        it; the key is dropped, the index serves as saved."""
+        assert "num_workers" not in json.loads(
+            (saved / "manifest.json").read_text()
+        )["config"]
+        self._copy_with_edited_manifest(
+            saved, tmp_path, lambda m: m["config"].update(num_workers=4)
+        )
+        assert load_index(tmp_path).config == load_index(saved).config
+
+    def test_unknown_config_key_is_named(self, saved, tmp_path):
+        self._copy_with_edited_manifest(
+            saved, tmp_path, lambda m: m["config"].update(num_gizmos=2)
+        )
+        with pytest.raises(ArtifactError, match="num_gizmos"):
+            load_index(tmp_path)
 
     def test_truncated_blobs(self, saved, tmp_path):
         for name in ("manifest.json", "vocab.json", "arrays.npz"):

@@ -7,10 +7,10 @@ would therefore compare a body with itself; every case here checks a
 layer against an *independent* reference instead:
 
 * kernel layers (backend plans, ``apply_batch``, the ranking
-  coordinator, the fleet fold): the plain integer ``modular.matmul``
+  service, the fleet fold): the plain integer ``modular.matmul``
   product of the same operands, bit for bit;
 * scheme and service layers (double layer + token mint, SimplePIR, the
-  URL service, and the ranking coordinator again): the plaintext --
+  URL service, and the ranking service again): the plaintext --
   decrypting column i recovers ``M v_i`` / record i.
 
 The matrix is layer x every kernel backend this host can run x
@@ -266,7 +266,7 @@ def test_url_service(worlds, served, backend, batch, q_bits):
 
 
 @matrix
-def test_ranking_coordinator(worlds, served, backend, batch, q_bits):
+def test_ranking_service(worlds, served, backend, batch, q_bits):
     world = worlds[q_bits]
     service = served(
         "ranking", backend, q_bits,
@@ -274,7 +274,6 @@ def test_ranking_coordinator(worlds, served, backend, batch, q_bits):
             world.scheme,
             world.matrix,
             dim=DIM,
-            num_workers=2,
             kernel_backend=backend,
             kernel_opts=_kernel_opts(backend),
         ),
@@ -295,14 +294,42 @@ def test_ranking_coordinator(worlds, served, backend, batch, q_bits):
         assert service.health()["kernel_effective"] == backend
 
 
+@pytest.mark.parametrize("backend", ["reference"])
+@pytest.mark.parametrize("shard, num_shards", [(0, 1), (1, 2)])
+def test_ranking_service_rejects_wrong_height_stacks(
+    worlds, backend, shard, num_shards
+):
+    """Every shard takes the full-width stack: one that is too short,
+    too tall (answering it from its first rows would be silently
+    wrong) or not a matrix is an error, before any slicing."""
+    world = worlds[64]
+    service = ShardedRankingService.build(
+        world.scheme, world.matrix, dim=DIM, shard=shard, num_shards=num_shards
+    )
+    params = world.scheme.params.inner
+    for height in (params.m - DIM, params.m + DIM):
+        other = LweParams(
+            n=params.n, q_bits=params.q_bits, p=params.p,
+            sigma=params.sigma, m=height,
+        )
+        stacked = np.resize(world.stacked[:, :2], (height, 2))
+        with pytest.raises(ValueError, match=f"expected {params.m}"):
+            service.answer_stacked(RankingBatch(stacked=stacked, params=other))
+    with pytest.raises(ValueError):
+        service.answer_stacked(
+            RankingBatch(stacked=world.stacked[:, 0], params=params)
+        )
+    assert service.health()["kernel_effective"] is None  # nothing ran
+
+
 class _ShardFleet:
-    """Two shard coordinators behind a router, over loopback."""
+    """Two ranking shards behind a router, over loopback."""
 
     NUM_SHARDS = 2
 
     def __init__(self, world: World, backend: str):
         self.shards = [
-            ShardedRankingService.build_shard(
+            ShardedRankingService.build(
                 world.scheme,
                 world.matrix,
                 dim=DIM,

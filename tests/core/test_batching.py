@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.cluster_runtime import ShardedRankingService, WorkerFailure
+from repro.core.cluster_runtime import ShardedRankingService
 from repro.core.ranking import RankingClient
 from repro.embeddings.quantize import quantize
 from repro.lwe import modular
@@ -16,7 +16,7 @@ from repro.lwe.regev import stack_ciphertexts
 def batch_setup(engine):
     index = engine.index
     service = ShardedRankingService.build(
-        index.ranking_scheme, index.layout.matrix, index.layout.dim, 4
+        index.ranking_scheme, index.layout.matrix, index.layout.dim
     )
     client = RankingClient(
         index.ranking_scheme,
@@ -40,8 +40,8 @@ def batch_setup(engine):
 class TestBatchedAnswers:
     @pytest.mark.parametrize("batch", [1, 6])
     def test_matches_the_integer_product(self, engine, batch_setup, batch):
-        """Sharded fan-out + fold against one unsharded integer product
-        over the whole matrix."""
+        """The plan's product against one plain integer product over
+        the whole matrix."""
         service, queries = batch_setup
         index = engine.index
         q_bits = index.ranking_scheme.params.inner.q_bits
@@ -68,17 +68,7 @@ class TestBatchedAnswers:
         before = service.ledger.total_ops()
         service.answer_batch(queries)
         added = service.ledger.total_ops() - before
-        matrix_entries = sum(
-            w.matrix_slice.size for w in service.workers
-        )
-        assert added == 2 * matrix_entries * len(queries)
-
-    def test_worker_failure_blocks_batch(self, batch_setup):
-        service, queries = batch_setup
-        service.fail_worker(1)
-        with pytest.raises(WorkerFailure):
-            service.answer_batch(queries)
-        service.revive_worker(1)
+        assert added == 2 * service.matrix_slice.size * len(queries)
 
     def test_batching_is_not_slower_per_query(self, batch_setup):
         service, queries = batch_setup
@@ -95,23 +85,26 @@ class TestBatchedAnswers:
 
 
 class TestPlanLifecycle:
-    """The shard plans are the service's only held resource."""
+    """The one kernel plan is the service's only held resource."""
 
     def _build(self, engine):
         return ShardedRankingService.build(
             engine.index.ranking_scheme,
             engine.index.layout.matrix,
             engine.index.layout.dim,
-            3,
         )
 
     def test_close_drops_plans_and_is_idempotent(self, engine, batch_setup):
         _, queries = batch_setup
         service = self._build(engine)
+        assert service.health()["kernel_effective"] is None
         service.answer(queries[0])
-        assert all(w._plan is not None for w in service.workers)
+        plan = service._plan
+        assert service.health()["kernel_effective"] == "reference"
+        service.answer_batch(queries)
+        assert service._plan is plan  # built once, reused
         service.close()
-        assert all(w._plan is None for w in service.workers)
+        assert service._plan is None
         service.close()  # idempotent
 
     def test_answer_after_close_rebuilds_plans(self, engine, batch_setup):
@@ -127,8 +120,8 @@ class TestPlanLifecycle:
         _, queries = batch_setup
         with self._build(engine) as service:
             service.answer(queries[0])
-            assert all(w._plan is not None for w in service.workers)
-        assert all(w._plan is None for w in service.workers)
+            assert service._plan is not None
+        assert service._plan is None
 
     def test_engine_close_reaches_ranking_plans(self, corpus):
         from repro import TiptoeConfig, TiptoeEngine
@@ -140,6 +133,6 @@ class TestPlanLifecycle:
             rng=np.random.default_rng(4),
         ) as engine:
             engine.search(corpus.documents[0].text, np.random.default_rng(5))
-            workers = engine.ranking_service.workers
-            assert all(w._plan is not None for w in workers)
-        assert all(w._plan is None for w in workers)
+            service = engine.ranking_service
+            assert service._plan is not None
+        assert service._plan is None

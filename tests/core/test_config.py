@@ -37,6 +37,4 @@ class TestConfig:
         with pytest.raises(ValueError):
             TiptoeConfig(embedding_dim=8, pca_dim=9)
         with pytest.raises(ValueError):
-            TiptoeConfig(num_workers=0)
-        with pytest.raises(ValueError):
             TiptoeConfig(url_batch_size=0)

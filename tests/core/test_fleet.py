@@ -15,6 +15,7 @@ from repro.core.engine import TiptoeEngine
 from repro.core.fleet import (
     FleetConfig,
     FleetError,
+    FleetLauncher,
     FleetOverloaded,
     FleetRouter,
     GenerationSpec,
@@ -252,6 +253,20 @@ class TestSpecs:
         )
         assert GenerationSpec.from_json(spec.to_json()) == spec
 
+    def test_launcher_refuses_more_shards_than_clusters(
+        self, index, tmp_path
+    ):
+        """Checked against the manifest before any process is spawned,
+        where the error would vanish into a worker's stderr."""
+        index.save(tmp_path)
+        clusters = index.layout.num_clusters
+        launcher = FleetLauncher(tmp_path, num_shards=clusters + 1)
+        with pytest.raises(
+            FleetError, match=f"{clusters} clusters into {clusters + 1} shards"
+        ):
+            launcher.start()
+        assert launcher.procs == []
+
     def test_shard_order_validated(self):
         with pytest.raises(ValueError, match="in order"):
             GenerationSpec(
@@ -271,9 +286,9 @@ class TestSpecs:
 
 
 class TestShardPartition:
-    def test_build_shard_validates_range(self, index):
+    def test_build_validates_shard_range(self, index):
         with pytest.raises(ValueError, match="outside"):
-            ShardedRankingService.build_shard(
+            ShardedRankingService.build(
                 index.ranking_scheme,
                 index.layout.matrix,
                 index.layout.dim,
@@ -282,7 +297,7 @@ class TestShardPartition:
             )
 
     def test_shard_health_reports_topology(self, index):
-        shard = ShardedRankingService.build_shard(
+        shard = ShardedRankingService.build(
             index.ranking_scheme,
             index.layout.matrix,
             index.layout.dim,
@@ -298,10 +313,9 @@ class TestShardPartition:
             index.ranking_scheme,
             index.layout.matrix,
             index.layout.dim,
-            num_workers=2,
         )
         shards = [
-            ShardedRankingService.build_shard(
+            ShardedRankingService.build(
                 index.ranking_scheme,
                 index.layout.matrix,
                 index.layout.dim,

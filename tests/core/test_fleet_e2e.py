@@ -99,7 +99,6 @@ def baseline_answers(index, queries):
         index.ranking_scheme,
         index.layout.matrix,
         index.layout.dim,
-        num_workers=2,
     )
     try:
         return [service.answer(q).values for q in queries]

@@ -132,7 +132,6 @@ class TestServerScansEverything:
             index.ranking_scheme,
             index.layout.matrix,
             dim=index.layout.dim,
-            num_workers=1,
         )
         client = RankingClient(
             index.ranking_scheme,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.cluster_runtime import ShardedRankingService, WorkerFailure
+from repro.core.cluster_runtime import ShardedRankingService
 from repro.core.ranking import RankingClient, build_query_vector
 from repro.embeddings.quantize import quantize
 from repro.lwe import modular
@@ -34,7 +34,6 @@ def ranking_setup(engine):
         index.ranking_scheme,
         index.layout.matrix,
         dim=index.layout.dim,
-        num_workers=1,
     )
     return index, client, service
 
@@ -84,18 +83,28 @@ class TestRankingCorrectness:
 
 
 class TestShardedService:
-    def test_sharded_matches_the_integer_product(self, engine, ranking_setup):
-        index, client, _ = ranking_setup
-        keys, hints = fresh_keyed_token(engine, 4)
+    """The cluster cut is a partition: any number of shards folds back
+    to the one-shard answer, which is the plain integer product."""
+
+    @staticmethod
+    def _shards(index, num_shards):
+        return [
+            ShardedRankingService.build(
+                index.ranking_scheme,
+                index.layout.matrix,
+                dim=index.layout.dim,
+                shard=shard,
+                num_shards=num_shards,
+            )
+            for shard in range(num_shards)
+        ]
+
+    def test_partials_fold_to_the_integer_product(self, engine, ranking_setup):
+        index, client, whole = ranking_setup
+        keys, _ = fresh_keyed_token(engine, 4)
         q_emb = quantize(index.embeddings[7] * index.quantization_gain, index.config.quantization())
         query = client.build_query(
             keys["ranking"], q_emb, 1, np.random.default_rng(5)
-        )
-        sharded = ShardedRankingService.build(
-            index.ranking_scheme,
-            index.layout.matrix,
-            dim=index.layout.dim,
-            num_workers=5,
         )
         q_bits = index.ranking_scheme.params.inner.q_bits
         want = modular.matmul(
@@ -103,53 +112,30 @@ class TestShardedService:
             query.ciphertext.c,
             q_bits,
         )
-        assert np.array_equal(sharded.answer(query).values, want)
+        assert np.array_equal(whole.answer(query).values, want)
+        for num_shards in (1, 2, 3, index.layout.num_clusters):
+            total = np.zeros_like(want)
+            for shard in self._shards(index, num_shards):
+                total = modular.add(total, shard.answer(query).values, q_bits)
+            assert np.array_equal(total, want), num_shards
 
-    def test_shards_partition_all_columns(self, engine):
+    def test_slices_are_cluster_aligned_and_tile_all_columns(self, engine):
         index = engine.index
-        sharded = ShardedRankingService.build(
-            index.ranking_scheme,
-            index.layout.matrix,
-            dim=index.layout.dim,
-            num_workers=3,
-        )
-        widths = [w.matrix_slice.shape[1] for w in sharded.workers]
-        assert sum(widths) == index.layout.matrix.shape[1]
-        for w in sharded.workers:
-            assert w.matrix_slice.shape[1] % index.layout.dim == 0
+        dim = index.layout.dim
+        for num_shards in (1, 2, 3, index.layout.num_clusters):
+            next_col = 0
+            for i, shard in enumerate(self._shards(index, num_shards)):
+                assert (shard.shard, shard.num_shards) == (i, num_shards)
+                assert shard.col_start == next_col
+                width = shard.matrix_slice.shape[1]
+                assert width > 0 and width % dim == 0
+                next_col += width
+            assert next_col == index.layout.matrix.shape[1]
 
-    def test_worker_failure_blocks_query(self, engine, ranking_setup):
-        index, client, _ = ranking_setup
-        keys, hints = fresh_keyed_token(engine, 6)
-        q_emb = quantize(index.embeddings[0] * index.quantization_gain, index.config.quantization())
-        query = client.build_query(
-            keys["ranking"], q_emb, 0, np.random.default_rng(7)
-        )
-        sharded = ShardedRankingService.build(
-            index.ranking_scheme,
-            index.layout.matrix,
-            dim=index.layout.dim,
-            num_workers=4,
-        )
-        sharded.fail_worker(2)
-        with pytest.raises(WorkerFailure):
-            sharded.answer(query)
-        sharded.revive_worker(2)
-        assert sharded.answer(query).values is not None
-
-    def test_workers_capped_by_cluster_count(self, engine):
+    def test_more_shards_than_clusters_rejected(self, engine):
         index = engine.index
-        sharded = ShardedRankingService.build(
-            index.ranking_scheme,
-            index.layout.matrix,
-            dim=index.layout.dim,
-            num_workers=10_000,
-        )
-        assert sharded.num_workers == index.layout.num_clusters
-
-    def test_shard_storage_accounting(self, engine):
-        sharded = engine.ranking_service
-        assert sharded.max_shard_bytes() > 0
+        with pytest.raises(ValueError, match="clusters into"):
+            self._shards(index, index.layout.num_clusters + 1)
 
 
 class TestClientValidation:

@@ -1,21 +1,23 @@
 """Tests for the cross-query batch scheduler (the admission queue)."""
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.core.cluster_runtime import ShardedRankingService, WorkerFailure
-from repro.core.ranking import RankingClient
+from repro.core.cluster_runtime import ShardedRankingService
+from repro.core.ranking import RankingClient, RankingQuery
 from repro.core.scheduler import BatchScheduler, SchedulerClosed
 from repro.embeddings.quantize import quantize
+from repro.lwe.regev import Ciphertext
 
 
 @pytest.fixture(scope="module")
 def sched_setup(engine):
     index = engine.index
     service = ShardedRankingService.build(
-        index.ranking_scheme, index.layout.matrix, index.layout.dim, 4
+        index.ranking_scheme, index.layout.matrix, index.layout.dim
     )
     client = RankingClient(
         index.ranking_scheme,
@@ -108,22 +110,28 @@ class TestBatchedExactness:
 
 
 class TestFaultScoping:
-    def test_mid_batch_worker_failure_fails_only_that_batch(
-        self, sched_setup
-    ):
-        """A dead shard fails the queries in flight -- the scheduler
-        and service keep serving the next batch."""
+    def test_failing_batch_fails_only_its_own_queries(self, sched_setup):
+        """A batch the service rejects (ciphertexts taller than the
+        matrix is wide) fails the queries in it -- the scheduler and
+        service keep serving the next batch."""
         service, queries = sched_setup
+        params = queries[0].ciphertext.params
+        tall = replace(params, m=params.m + 1)
+        too_tall = [
+            RankingQuery(
+                ciphertext=Ciphertext(
+                    c=np.append(q.ciphertext.c, q.ciphertext.c[:1]),
+                    params=tall,
+                )
+            )
+            for q in queries[:4]
+        ]
         with BatchScheduler(
             service, max_batch_size=4, max_batch_wait_ms=5.0
         ) as scheduler:
-            service.fail_worker(1)
-            try:
-                _, errors = submit_concurrently(scheduler, queries[:4])
-                assert all(isinstance(e, WorkerFailure) for e in errors)
-                assert scheduler.stats.failed_queries == 4
-            finally:
-                service.revive_worker(1)
+            _, errors = submit_concurrently(scheduler, too_tall)
+            assert all(isinstance(e, ValueError) for e in errors)
+            assert scheduler.stats.failed_queries == 4
             # The same scheduler still answers correctly afterwards.
             answer = scheduler.submit(queries[5])
             assert np.array_equal(
@@ -194,7 +202,7 @@ class TestServiceIntegration:
     def test_attach_starts_and_stops_with_service(self, sched_setup, engine):
         index = engine.index
         service = ShardedRankingService.build(
-            index.ranking_scheme, index.layout.matrix, index.layout.dim, 4
+            index.ranking_scheme, index.layout.matrix, index.layout.dim
         )
         scheduler = BatchScheduler(service, max_batch_size=4)
         service.attach_scheduler(scheduler)

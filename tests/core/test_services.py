@@ -34,9 +34,9 @@ class TestHealth:
             assert report["service"] == name
             assert report["status"] == "ok"
 
-    def test_ranking_health_counts_workers(self, engine):
+    def test_ranking_health_reports_its_shard(self, engine):
         report = engine.services["ranking"].health()
-        assert report["alive"] == report["workers"] > 0
+        assert (report["shard"], report["num_shards"]) == (0, 1)
 
     def test_url_health_reports_rows(self, engine):
         report = engine.services["url"].health()
