@@ -8,7 +8,8 @@ its inner secret key, and the server computes the hint-secret product
 ``H s`` *under the outer encryption*:
 
 1. the client sends ``Enc2`` ciphertexts of each inner-secret
-   component ``s_i`` (the ``z_i`` of Appendix A.2);
+   component ``s_i`` (the ``z_i`` of Appendix A.2) -- their ``b``
+   halves plus one public seed the uniform ``a`` halves expand from;
 2. the server, per chunk of ``n_outer`` hint rows, evaluates
    ``sum_i C_i(x) * z_i`` where ``C_i`` is the plaintext polynomial
    whose r-th coefficient is ``H[r, i]`` -- because each ``z_i``
@@ -86,21 +87,28 @@ class ClientKeys:
     outer: BfvSecretKey
 
 
+#: Length of the public seed that ``z_a`` is expanded from.
+KEY_SEED_BYTES = 32
+
+
 @dataclass(frozen=True)
 class EncryptedKey:
     """The outer encryption of the inner secret (the ``z_i`` vectors).
 
-    Stored as stacked NTT-domain arrays of shape ``(n_inner, k, n_outer)``
-    so the server's evaluation is a batched pointwise product.  This is
-    the large ahead-of-time client upload of SS6.3 (~32 MiB at paper
-    scale); it is query-independent and reusable across services.
+    ``z_b`` is the stacked NTT-domain ``b`` half, shape ``(n_inner, k,
+    n_outer)``, so the server's evaluation is a batched pointwise
+    product.  The uniform ``a`` half is never sent: both sides expand it
+    from the public ``a_seed`` (SimplePIR's seed compression, applied
+    to the outer layer), which halves the ahead-of-time upload of SS6.3.
+    It is query-independent and reusable across services.
     """
 
     z_b: np.ndarray
-    z_a: np.ndarray
+    a_seed: bytes
 
     def wire_bytes(self) -> int:
-        return (self.z_b.size + self.z_a.size) * 8
+        """Seed plus ``z_b`` words: the encoding minus its fixed header."""
+        return len(self.a_seed) + self.z_b.size * 8
 
 
 @dataclass(frozen=True)
@@ -178,16 +186,51 @@ class DoubleLheScheme:
     def encrypt_key(
         self, keys: ClientKeys, rng: np.random.Generator | None = None
     ) -> EncryptedKey:
-        """Encrypt each inner-secret component under the outer scheme."""
+        """Encrypt every inner-secret component under the outer scheme.
+
+        One stacked encryption of all ``n_inner`` constants; the seed
+        of their ``a`` halves is public randomness drawn fresh from
+        ``rng`` for every key.
+        """
         rng = sampling.resolve_rng(rng)
-        s_signed = keys.inner.signed()
-        z_b = []
-        z_a = []
-        for s_i in s_signed:
-            ct = self.outer.encrypt(keys.outer, np.array([int(s_i)]), rng)
-            z_b.append(ct.b)
-            z_a.append(ct.a)
-        return EncryptedKey(z_b=np.stack(z_b), z_a=np.stack(z_a))
+        a_seed = rng.bytes(KEY_SEED_BYTES)
+        z_b = self.outer.encrypt_constants(
+            keys.outer, keys.inner.signed(), a_seed, rng
+        )
+        return EncryptedKey(z_b=z_b, a_seed=a_seed)
+
+    def expand_z_a(self, enc_key: EncryptedKey) -> np.ndarray:
+        """The NTT-domain ``a`` halves of ``enc_key``, from its seed."""
+        return self.outer.ring.expand_uniform(
+            enc_key.a_seed, self.params.inner.n
+        )
+
+    def check_key(self, enc_key: EncryptedKey) -> None:
+        """Reject an encrypted key this scheme cannot evaluate.
+
+        Keys arrive from clients: a wrong shape would broadcast into a
+        silently wrong token, and residues >= p would break the
+        accumulation bound of :func:`_mulsum_mod`.
+        """
+        ring = self.outer.ring
+        want = (self.params.inner.n, ring.k, ring.n)
+        z_b = enc_key.z_b
+        if z_b.shape != want or z_b.dtype != np.uint64:
+            raise ValueError(
+                f"encrypted key z_b is {z_b.dtype} {z_b.shape},"
+                f" expected uint64 {want}"
+            )
+        if len(enc_key.a_seed) != KEY_SEED_BYTES:
+            raise ValueError(
+                f"encrypted key seed is {len(enc_key.a_seed)} bytes,"
+                f" expected {KEY_SEED_BYTES}"
+            )
+        primes = np.array(ring.primes, dtype=np.uint64).reshape(-1, 1)
+        if not (z_b < primes).all():
+            raise ValueError(
+                "encrypted key z_b has residues outside [0, p) for its"
+                " RNS prime"
+            )
 
     # -- server-side preprocessing ---------------------------------------------
 
@@ -278,12 +321,14 @@ class DoubleLheScheme:
         block, not on any client, so they are computed once per chunk
         and reused across the batch.  Each client's pointwise products
         run against that client's own encrypted key: per-client outer
-        keys never mix.
+        keys never mix.  Each key's ``z_a`` is expanded from its seed
+        once, before the chunk loop.
         """
         if not enc_keys:
             return []
         n_outer = self.params.outer_n
         ring = self.outer.ring
+        z_as = [self.expand_z_a(enc_key) for enc_key in enc_keys]
         per_client: list[list[BfvCiphertext]] = [[] for _ in enc_keys]
         for idx, start in enumerate(range(0, prep.rows, n_outer)):
             # Kernel timer: the BFV homomorphic evaluation (one outer
@@ -293,16 +338,14 @@ class DoubleLheScheme:
                 # Shared across the batch: one NTT per RNS prime --
                 # precomputed when the sidecar table is loaded.
                 c_ntts = self._chunk_c_ntts(prep, idx, start)
-                for client, enc_key in enumerate(enc_keys):
+                for client, (enc_key, z_a) in enumerate(zip(enc_keys, z_as)):
                     b_acc = []
                     a_acc = []
                     for ch, p in enumerate(ring.primes):
                         b_acc.append(
                             _mulsum_mod(enc_key.z_b[:, ch, :], c_ntts[ch], p)
                         )
-                        a_acc.append(
-                            _mulsum_mod(enc_key.z_a[:, ch, :], c_ntts[ch], p)
-                        )
+                        a_acc.append(_mulsum_mod(z_a[:, ch, :], c_ntts[ch], p))
                     per_client[client].append(
                         BfvCiphertext(b=np.stack(b_acc), a=np.stack(a_acc))
                     )
@@ -404,6 +447,7 @@ class DoubleLheScheme:
         return n_chunks * self.outer.params.ciphertext_bytes()
 
     def key_upload_bytes(self) -> int:
-        """Wire size of the one-time encrypted-key upload."""
-        per_ct = self.outer.params.ciphertext_bytes()
-        return self.params.inner.n * per_ct
+        """Wire size of the one-time encrypted-key upload: the seed plus
+        one RNS ring element (``z_b``) per inner-secret component."""
+        per_b = self.outer.params.ciphertext_bytes() // 2
+        return KEY_SEED_BYTES + self.params.inner.n * per_b

@@ -132,6 +132,10 @@ class TokenFactory:
         through :meth:`DoubleLheScheme.evaluate_hint_batch` together,
         so each service's plaintext-side forward NTTs run once per
         chunk for the whole batch instead of once per client.
+
+        Every key is checked against its service's scheme first
+        (:meth:`DoubleLheScheme.check_key`); a malformed one raises
+        ``ValueError`` naming the client and service.
         """
         for i, enc_keys in enumerate(enc_keys_list):
             missing = set(self._services) - set(enc_keys)
@@ -140,6 +144,13 @@ class TokenFactory:
                     f"client {i}: missing encrypted keys for services"
                     f" {missing}"
                 )
+            for name, svc in self._services.items():
+                try:
+                    svc.scheme.check_key(enc_keys[name])
+                except ValueError as exc:
+                    raise ValueError(
+                        f"client {i}, service {name!r}: {exc}"
+                    ) from None
         per_client: list[dict[str, CompressedHint]] = [
             {} for _ in enc_keys_list
         ]
@@ -222,7 +233,7 @@ def request_token(
     the eventual query string.
     """
     keys, enc_keys, upload_bytes = make_client_keys(schemes, rng)
-    # tiptoe-lint: disable=itaint-raise -- mint()'s error path embeds only the *names* of missing services (dict keys), never the encrypted key material
+    # tiptoe-lint: disable=itaint-raise -- mint()'s error paths embed only service *names* and a rejected key's shape, dtype and seed length (public configuration), never the encrypted key material
     payload = factory.mint(enc_keys)
     hint_products = {
         name: schemes[name].decrypt_hint_product(keys[name], payload.hints[name])

@@ -384,30 +384,52 @@ def decode_token_payload(blob: bytes):
     return TokenPayload(hints=hints)
 
 
-def encode_encrypted_key(enc_key) -> bytes:
-    """Serialize the ahead-of-time encrypted-key upload (SS6.3)."""
-    n_inner, k, n_outer = enc_key.z_b.shape
-    return (
-        _KEY_HEADER.pack(n_inner, k, n_outer)
-        + np.ascontiguousarray(enc_key.z_b, dtype=np.uint64).tobytes()
-        + np.ascontiguousarray(enc_key.z_a, dtype=np.uint64).tobytes()
-    )
+def encode_encrypted_key(enc_key) -> bytearray:
+    """Serialize the ahead-of-time encrypted-key upload (SS6.3):
+    [u32 n_inner][u32 k][u32 n_outer][32-byte seed][n_inner*k*n_outer
+    u64 z_b].
+
+    ``z_b`` is written once, straight into the preallocated buffer.
+    """
+    from repro.homenc.double import KEY_SEED_BYTES
+
+    if len(enc_key.a_seed) != KEY_SEED_BYTES:
+        raise ValueError(
+            f"encrypted key seed is {len(enc_key.a_seed)} bytes,"
+            f" expected {KEY_SEED_BYTES}"
+        )
+    z_b = enc_key.z_b
+    body = _KEY_HEADER.size + KEY_SEED_BYTES
+    out = bytearray(body + z_b.size * 8)
+    _KEY_HEADER.pack_into(out, 0, *z_b.shape)
+    out[_KEY_HEADER.size : body] = enc_key.a_seed
+    np.frombuffer(out, dtype=np.uint64, offset=body).reshape(z_b.shape)[...] = z_b
+    return out
 
 
 def decode_encrypted_key(blob: bytes):
-    from repro.homenc.double import EncryptedKey
+    from repro.homenc.double import KEY_SEED_BYTES, EncryptedKey
 
     _require_header(blob, _KEY_HEADER, "encrypted key")
     n_inner, k, n_outer = _KEY_HEADER.unpack_from(blob)
+    body = _KEY_HEADER.size + KEY_SEED_BYTES
+    if len(blob) < body:
+        raise ValueError(
+            f"encrypted key: payload is {len(blob) - _KEY_HEADER.size} bytes"
+            f" after the header, expected at least {KEY_SEED_BYTES} for the"
+            " seed"
+        )
     count = n_inner * k * n_outer
-    _require_words(blob, _KEY_HEADER.size, 2 * count, 8, "encrypted key")
-    words = np.frombuffer(
-        blob, dtype=np.uint64, offset=_KEY_HEADER.size, count=2 * count
-    )
-    shape = (n_inner, k, n_outer)
+    _require_words(blob, body, count, 8, "encrypted key")
+    if len(blob) != body + count * 8:
+        raise ValueError(
+            f"encrypted key: {len(blob) - body - count * 8} trailing bytes"
+            f" after {count} words"
+        )
+    words = np.frombuffer(blob, dtype=np.uint64, offset=body, count=count)
     return EncryptedKey(
-        z_b=words[:count].reshape(shape).copy(),
-        z_a=words[count:].reshape(shape).copy(),
+        z_b=words.reshape(n_inner, k, n_outer).copy(),
+        a_seed=bytes(blob[_KEY_HEADER.size : body]),
     )
 
 

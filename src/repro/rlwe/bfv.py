@@ -136,15 +136,18 @@ class BfvScheme:
 
     # -- encoding -----------------------------------------------------------
 
+    def _scale(self, message) -> list[int]:
+        """``round((m mod t) * q / t)`` per message, as Python ints."""
+        q, t = self.params.q, self.params.t
+        return [(int(m) % t * q + t // 2) // t for m in message]
+
     def encode(self, message: np.ndarray) -> np.ndarray:
         """Scale messages mod t into a coefficient-domain ring element."""
-        q, t = self.params.q, self.params.t
-        msg = [int(m) % t for m in np.asarray(message).ravel()]
+        msg = list(np.asarray(message).ravel())
         if len(msg) > self.params.n:
             raise ValueError("message longer than ring dimension")
         msg += [0] * (self.params.n - len(msg))
-        scaled = [(m * q + t // 2) // t for m in msg]
-        return self.ring.from_ints(scaled)
+        return self.ring.from_ints(self._scale(msg))
 
     def decode(self, phase: list[int], length: int | None = None) -> np.ndarray:
         """Recover messages mod t from centered decryption phases."""
@@ -201,6 +204,34 @@ class BfvScheme:
         payload = ring.to_ntt(ring.add(e, encoded))
         b_ntt = ring.add(ring.mul_pointwise(a_ntt, sk.s_ntt), payload)
         return BfvCiphertext(b=b_ntt, a=a_ntt)
+
+    def encrypt_constants(
+        self,
+        sk: BfvSecretKey,
+        values: np.ndarray,
+        a_seed: bytes,
+        rng: np.random.Generator | None = None,
+    ) -> np.ndarray:
+        """Encrypt each of ``values`` as a constant polynomial, stacked.
+
+        Ciphertext i is ``(b[i], a[i])`` with ``a = ring.expand_uniform(
+        a_seed, len(values))`` read as NTT-domain, so only the returned
+        NTT-domain ``b`` stack, shape ``(len(values), k, n)``, and the
+        seed need to travel.  One Gaussian draw, one batched NTT per
+        prime and one broadcast multiply-add replace a per-value
+        :meth:`encrypt` loop; a constant's encoding touches coefficient
+        0 only, so it is looked up once per distinct value.
+        """
+        rng = sampling.resolve_rng(rng)
+        ring = self.ring
+        values = np.asarray(values, dtype=np.int64)
+        a_ntt = ring.expand_uniform(a_seed, len(values))
+        payload = ring.sample_gaussian(rng, self.params.sigma, len(values))
+        distinct, which = np.unique(values, return_inverse=True)
+        table = ring.from_ints(self._scale(distinct))  # (k, distinct)
+        payload[:, :, :1] = ring.add(payload[:, :, :1], table.T[which, :, None])
+        payload = ring.to_ntt(payload)
+        return ring.add(ring.mul_pointwise(a_ntt, sk.s_ntt), payload)
 
     def decrypt_phase(self, sk: BfvSecretKey, ct: BfvCiphertext) -> list[int]:
         """The centered decryption phase ``b - a*s`` as Python ints."""

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from repro.lwe import sampling
 from repro.rlwe.ntt import ntt_context
 
 
@@ -44,9 +45,13 @@ class RnsContext:
     # -- representation ---------------------------------------------------
 
     def from_signed(self, coeffs: np.ndarray) -> np.ndarray:
-        """Lift small signed integer coefficients into RNS form."""
+        """Lift small signed integer coefficients into RNS form.
+
+        Shape ``(..., n)`` becomes ``(..., k, n)``: a stack of
+        polynomials lifts in one broadcast.
+        """
         coeffs = np.asarray(coeffs, dtype=np.int64)
-        residues = coeffs[None, :] % self._primes_arr.astype(np.int64)
+        residues = coeffs[..., None, :] % self._primes_arr.astype(np.int64)
         return residues.astype(np.uint64)
 
     def from_ints(self, coeffs: list[int] | np.ndarray) -> np.ndarray:
@@ -98,8 +103,11 @@ class RnsContext:
     # -- transforms --------------------------------------------------------
 
     def to_ntt(self, rns: np.ndarray) -> np.ndarray:
+        """Forward NTT of ``(..., k, n)``: one batched NTT per prime
+        covers a whole stack of polynomials."""
         return np.stack(
-            [self.ntts[i].forward(rns[i]) for i in range(self.k)]
+            [self.ntts[i].forward(rns[..., i, :]) for i in range(self.k)],
+            axis=-2,
         )
 
     def from_ntt(self, rns: np.ndarray) -> np.ndarray:
@@ -120,11 +128,33 @@ class RnsContext:
             out[i] = rng.integers(0, p, size=self.n, dtype=np.uint64)
         return out
 
+    def expand_uniform(self, seed: bytes, count: int) -> np.ndarray:
+        """``count`` uniform ring elements expanded from a public seed.
+
+        Shape ``(count, k, n)``.  Deterministic in ``(seed, count)``, so
+        two parties holding the seed agree on the elements without
+        sending them.  Uniform residues are uniform in either domain
+        (the NTT is a bijection on Z_p^n), so callers may read the
+        result as NTT-domain directly.
+        """
+        rng = sampling.seeded_rng(seed)
+        out = np.empty((count, self.k, self.n), dtype=np.uint64)
+        for i, p in enumerate(self.primes):
+            out[:, i, :] = rng.integers(
+                0, p, size=(count, self.n), dtype=np.uint64
+            )
+        return out
+
     def sample_gaussian(
-        self, rng: np.random.Generator, sigma: float
+        self, rng: np.random.Generator, sigma: float, count: int | None = None
     ) -> np.ndarray:
-        """A rounded-Gaussian error element, lifted into RNS."""
-        raw = np.rint(rng.normal(0.0, sigma, size=self.n)).astype(np.int64)
+        """A rounded-Gaussian error element, lifted into RNS.
+
+        With ``count``, a stack of ``count`` independent elements,
+        shape ``(count, k, n)``, drawn in one call.
+        """
+        size = self.n if count is None else (count, self.n)
+        raw = np.rint(rng.normal(0.0, sigma, size=size)).astype(np.int64)
         return self.from_signed(raw)
 
     def sample_ternary(self, rng: np.random.Generator) -> np.ndarray:

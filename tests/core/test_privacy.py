@@ -120,6 +120,86 @@ class TestCiphertextOpacity:
         assert len(q_first.ciphertext.c) == len(q_last.ciphertext.c)
 
 
+def _schemes(engine) -> dict:
+    return {
+        "ranking": engine.index.ranking_scheme,
+        "url": engine.index.url_scheme,
+    }
+
+
+class TestKeyUpload:
+    """The seed-compressed encrypted-key upload: its size is fixed by
+    configuration, its ``z_b`` words look uniform, and its seed is
+    fresh public randomness per key."""
+
+    def test_upload_size_is_independent_of_the_rng(self, engine):
+        from repro.homenc.token import make_client_keys
+        from repro.net import wire
+        from repro.net.rpc import frame
+
+        tokens = [engine.mint_token(np.random.default_rng(s)) for s in range(3)]
+        assert len({t.upload_bytes for t in tokens}) == 1
+        framed = {
+            len(
+                frame(
+                    "mint",
+                    wire.encode_mint_request(
+                        make_client_keys(
+                            _schemes(engine), np.random.default_rng(10 + s)
+                        )[1]
+                    ),
+                )
+            )
+            for s in range(3)
+        }
+        assert framed == {tokens[0].upload_bytes}
+
+    def test_key_words_pass_uniformity_test(self, engine):
+        """Chi-squared, as for ranking ciphertexts.  A ``z_b`` word is a
+        residue uniform mod a ~30-bit prime p, so its low three bytes
+        are uniform bytes and its top bits are uniform over
+        ``[0, p / 2^24)``; the remaining high bytes are zero by format."""
+        from scipy import stats
+
+        from repro.homenc.token import make_client_keys
+
+        schemes = _schemes(engine)
+        residues = {}
+        for seed in range(4):
+            _, enc_keys, _ = make_client_keys(
+                schemes, np.random.default_rng(seed)
+            )
+            # A shared upload (Appendix A.3) is counted once.
+            uploads = {id(enc_keys[n]): (enc_keys[n], schemes[n]) for n in schemes}
+            for key, scheme in uploads.values():
+                for ch, p in enumerate(scheme.outer.ring.primes):
+                    residues.setdefault(p, []).append(key.z_b[:, ch, :].ravel())
+        low = []
+        for p, chunks in residues.items():
+            words = np.concatenate(chunks)
+            assert (words < p).all()
+            bins = -(-p >> 24)
+            widths = np.full(bins, float(1 << 24))
+            widths[-1] = p - ((bins - 1) << 24)
+            top = np.bincount(words >> np.uint64(24), minlength=bins)
+            _, p_value = stats.chisquare(top, widths / p * len(words))
+            assert p_value > 0.001
+            low.append(words.astype("<u4").view(np.uint8).reshape(-1, 4)[:, :3])
+        counts = np.bincount(np.concatenate(low).ravel(), minlength=256)
+        _, p_value = stats.chisquare(counts)
+        assert p_value > 0.001
+
+    def test_seed_is_fresh_public_randomness(self, engine):
+        scheme = engine.index.ranking_scheme
+        keys = scheme.gen_keys(np.random.default_rng(0))
+        seeds = [
+            scheme.encrypt_key(keys, np.random.default_rng(s)).a_seed
+            for s in (1, 1, 2)
+        ]
+        assert seeds[0] == seeds[1]
+        assert seeds[0] != seeds[2]
+
+
 class TestServerScansEverything:
     def test_ranking_touches_every_cluster(self, engine):
         """Cost is identical whichever cluster the client probes --

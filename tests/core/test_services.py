@@ -75,6 +75,40 @@ class TestWireHandlersMatchDirectCalls:
             ep.dispatch(frame("nonsense", b""))
 
 
+class TestMalformedKeyOverTcp:
+    def test_malformed_key_is_a_remote_error_naming_the_service(self, engine):
+        """The mint's key validation survives the socket: a key with the
+        wrong number of inner components comes back as a typed error,
+        not as a wrong token."""
+        from repro.homenc import EncryptedKey
+        from repro.homenc.token import make_client_keys
+        from repro.net.tcp import ServerRunner, SocketTransport
+        from repro.net.transport import RemoteCallError
+
+        schemes = {
+            "ranking": engine.index.ranking_scheme,
+            "url": engine.index.url_scheme,
+        }
+        _, enc_keys, _ = make_client_keys(schemes, np.random.default_rng(0))
+        good = enc_keys["url"]
+        enc_keys["url"] = EncryptedKey(z_b=good.z_b[:1], a_seed=good.a_seed)
+        with ServerRunner(build_services(engine.index).values(), port=0) as runner:
+            host, port = runner.address
+            transport = SocketTransport(host, port, timeout=30.0)
+            try:
+                channel = RpcChannel(TrafficLog(), transport)
+                with pytest.raises(RemoteCallError) as info:
+                    channel.call(
+                        "token", "token", "mint",
+                        wire.encode_mint_request(enc_keys),
+                    )
+            finally:
+                transport.close()
+        message = str(info.value)
+        assert "'url'" in message
+        assert str(good.z_b.shape) in message
+
+
 class TestEngineModes:
     def test_loopback_engine_owns_its_services(self, engine):
         assert isinstance(engine.transport, LoopbackTransport)

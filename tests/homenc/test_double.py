@@ -110,8 +110,18 @@ class TestCompression:
         assert compressed < raw / 2
 
     def test_key_upload_accounting(self, scheme, keyed):
+        from repro.net import wire
+
         _, enc_key = keyed
         assert enc_key.wire_bytes() == scheme.key_upload_bytes()
+        blob = wire.encode_encrypted_key(enc_key)
+        assert len(blob) == enc_key.wire_bytes() + wire._KEY_HEADER.size
+
+    def test_key_upload_carries_no_a_half(self, scheme):
+        """Seed compression: the upload is one RNS element per inner
+        component plus the seed -- half of n_inner full ciphertexts."""
+        full = scheme.params.inner.n * scheme.outer.params.ciphertext_bytes()
+        assert scheme.key_upload_bytes() == full // 2 + 32
 
 
 class TestValidation:

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.homenc import DoubleLheParams, DoubleLheScheme, TokenFactory, TokenReuseError
+from repro.homenc import (
+    DoubleLheParams,
+    DoubleLheScheme,
+    EncryptedKey,
+    TokenFactory,
+    TokenReuseError,
+)
 from repro.homenc.token import make_client_keys, request_token
 from repro.lwe import LweParams
 from repro.lwe.sampling import seeded_rng
@@ -197,3 +203,68 @@ class TestFactoryValidation:
         )
         with pytest.raises(ValueError):
             factory.mint(enc_keys)
+
+
+def _reshaped(z_b, how):
+    """``z_b`` with one axis cut down or grown by one entry."""
+    axis = {"n_inner": 0, "k": 1, "n_outer": 2}[how[0]]
+    if how[1] == "one":
+        return np.take(z_b, [0], axis=axis)
+    if how[1] == "-1":
+        return np.delete(z_b, -1, axis=axis)
+    return np.concatenate([z_b, np.take(z_b, [0], axis=axis)], axis=axis)
+
+
+class TestMalformedKeys:
+    """A key whose shape, seed or residues do not fit the registered
+    scheme is refused before evaluation -- it would otherwise broadcast
+    into a silently wrong token."""
+
+    @pytest.mark.parametrize(
+        "how",
+        [
+            ("n_inner", "one"),
+            ("n_inner", "+1"),
+            ("k", "-1"),
+            ("k", "+1"),
+            ("n_outer", "-1"),
+        ],
+        ids=lambda how: "-".join(how),
+    )
+    def test_wrong_shape_names_service_and_both_shapes(self, two_services, how):
+        schemes, factory, _, _ = two_services
+        _, enc_keys, _ = make_client_keys(schemes, seeded_rng(60))
+        good = enc_keys["ranking"]
+        bad = EncryptedKey(z_b=_reshaped(good.z_b, how), a_seed=good.a_seed)
+        with pytest.raises(ValueError) as info:
+            factory.mint({"ranking": bad, "url": good})
+        message = str(info.value)
+        assert "'ranking'" in message
+        assert str(bad.z_b.shape) in message
+        assert str(good.z_b.shape) in message
+
+    def test_residue_at_or_above_its_prime_rejected(self, two_services):
+        schemes, factory, _, _ = two_services
+        _, enc_keys, _ = make_client_keys(schemes, seeded_rng(61))
+        good = enc_keys["url"]
+        z_b = good.z_b.copy()
+        z_b[3, 1, 5] = schemes["url"].outer.ring.primes[1]
+        bad = EncryptedKey(z_b=z_b, a_seed=good.a_seed)
+        with pytest.raises(ValueError, match="service 'url'.*outside"):
+            factory.mint({"ranking": good, "url": bad})
+
+    def test_short_seed_rejected(self, two_services):
+        schemes, factory, _, _ = two_services
+        _, enc_keys, _ = make_client_keys(schemes, seeded_rng(62))
+        good = enc_keys["ranking"]
+        bad = EncryptedKey(z_b=good.z_b, a_seed=good.a_seed[:31])
+        with pytest.raises(ValueError, match="service 'ranking'.*31 bytes"):
+            factory.mint({"ranking": bad, "url": good})
+
+    def test_one_bad_client_fails_the_whole_batch(self, two_services):
+        schemes, factory, _, _ = two_services
+        good = make_client_keys(schemes, seeded_rng(63))[1]
+        key = good["url"]
+        bad = EncryptedKey(z_b=key.z_b[:1], a_seed=key.a_seed)
+        with pytest.raises(ValueError, match="client 1"):
+            factory.mint_many([good, {"ranking": bad, "url": bad}])

@@ -76,6 +76,28 @@ class TestRlwe:
         assert np.array_equal(scheme.decrypt(sk, back), np.arange(32))
 
 
+@pytest.fixture(scope="module")
+def enc_key():
+    from repro.homenc import DoubleLheParams, DoubleLheScheme
+
+    inner = LweParams(n=16, q_bits=64, p=256, sigma=6.4, m=8)
+    scheme = DoubleLheScheme(
+        DoubleLheParams(inner=inner, outer_n=32), a_seed=b"K" * 32
+    )
+    rng = seeded_rng(6)
+    return scheme.encrypt_key(scheme.gen_keys(rng), rng)
+
+
+class TestEncryptedKey:
+    def test_round_trip_and_size(self, enc_key):
+        blob = wire.encode_encrypted_key(enc_key)
+        assert len(blob) == enc_key.wire_bytes() + wire._KEY_HEADER.size
+        back = wire.decode_encrypted_key(bytes(blob))
+        np.testing.assert_array_equal(back.z_b, enc_key.z_b)
+        assert back.a_seed == enc_key.a_seed
+        back.z_b[0, 0, 0] += 1  # a fresh writable copy
+
+
 class TestTruncationHardening:
     """Malformed blobs fail with a clear size message, never a numpy
     reshape traceback, and decoders hand back writable arrays."""
@@ -112,6 +134,40 @@ class TestTruncationHardening:
         blob = wire.encode_rlwe(ct)
         with pytest.raises(ValueError, match="expected"):
             wire.decode_rlwe(blob[:-5])
+
+    def test_encrypted_key_truncated_header(self, enc_key):
+        blob = wire.encode_encrypted_key(enc_key)
+        with pytest.raises(ValueError, match="expected at least"):
+            wire.decode_encrypted_key(blob[: wire._KEY_HEADER.size - 1])
+
+    def test_encrypted_key_truncated_seed(self, enc_key):
+        blob = wire.encode_encrypted_key(enc_key)
+        with pytest.raises(ValueError, match="for the seed"):
+            wire.decode_encrypted_key(blob[: wire._KEY_HEADER.size + 31])
+
+    def test_encrypted_key_truncated_words(self, enc_key):
+        blob = wire.encode_encrypted_key(enc_key)
+        with pytest.raises(ValueError, match=r"payload is .* expected"):
+            wire.decode_encrypted_key(blob[:-8])
+
+    def test_encrypted_key_trailing_bytes_rejected(self, enc_key):
+        blob = bytes(wire.encode_encrypted_key(enc_key)) + b"\0"
+        with pytest.raises(ValueError, match="1 trailing bytes"):
+            wire.decode_encrypted_key(blob)
+
+    def test_encrypted_key_inflated_word_count_rejected(self, enc_key):
+        blob = bytearray(wire.encode_encrypted_key(enc_key))
+        n_inner, k, n_outer = enc_key.z_b.shape
+        wire._KEY_HEADER.pack_into(blob, 0, n_inner + 1, k, n_outer)
+        with pytest.raises(ValueError, match="expected"):
+            wire.decode_encrypted_key(bytes(blob))
+
+    def test_encrypted_key_short_seed_not_encoded(self, enc_key):
+        from repro.homenc import EncryptedKey
+
+        short = EncryptedKey(z_b=enc_key.z_b, a_seed=enc_key.a_seed[:31])
+        with pytest.raises(ValueError, match="31 bytes"):
+            wire.encode_encrypted_key(short)
 
     def test_decoded_arrays_are_writable(self, regev_ct):
         scheme, _, ct = regev_ct

@@ -62,6 +62,24 @@ class TestArithmetic:
             assert np.array_equal(got[i], want)
 
 
+class TestStacks:
+    def test_stacked_lift_and_ntt_match_per_element(self, ring):
+        rng = np.random.default_rng(6)
+        coeffs = rng.integers(-50, 50, size=(5, ring.n))
+        stacked = ring.to_ntt(ring.from_signed(coeffs))
+        assert stacked.shape == (5, ring.k, ring.n)
+        for row, got in zip(coeffs, stacked):
+            np.testing.assert_array_equal(got, ring.to_ntt(ring.from_signed(row)))
+
+    def test_expand_uniform_is_a_function_of_the_seed(self, ring):
+        a = ring.expand_uniform(b"s" * 32, 4)
+        np.testing.assert_array_equal(a, ring.expand_uniform(b"s" * 32, 4))
+        assert not np.array_equal(a, ring.expand_uniform(b"t" * 32, 4))
+        assert a.shape == (4, ring.k, ring.n)
+        for i, p in enumerate(ring.primes):
+            assert a[:, i].max() < p
+
+
 class TestSampling:
     def test_uniform_covers_range(self, ring):
         rng = np.random.default_rng(3)
