@@ -11,7 +11,8 @@ this repo's precompute plane adds:
   re-runs the plaintext-side forward NTTs; with it the tables load
   memory-mapped and minting starts at steady-state cost.
 * **Tokens/sec**: sequential ``mint`` vs batched ``mint_many`` vs the
-  pipelined ``TokenPool`` (pre-minted stockpile, refill off-path).
+  pipelined client stockpile (``TiptoeClient`` prefetched to depth,
+  refill off-path).
 
 Emits ``BENCH_precompute.json``.  Two acceptance bars ride along:
 batched+pipelined minting must deliver >= 3x sequential tokens/sec,
@@ -25,14 +26,12 @@ import numpy as np
 from benchmarks.conftest import OUT_DIR, emit
 from repro import TiptoeConfig, TiptoeEngine
 from repro.core.indexer import TiptoeIndex
-from repro.core.precompute import TokenPool
 from repro.homenc.token import make_client_keys
 from repro.lwe.sampling import seeded_rng
 from repro.obs.export import write_bench_json
 from repro.rlwe.ntt import clear_ntt_registry
 
 NUM_TOKENS = 16
-MINT_BATCH = 8
 FIRST_MINTS = 8  # early clients a fresh serve answers sequentially
 REPEATS = 2
 
@@ -103,25 +102,24 @@ def test_precompute_plane(bench_corpus, tmp_path):
         factory.mint_many(requests)
         best_many = min(best_many, time.perf_counter() - start)
 
-    # Pipelined: a pool pre-stocked off-path hands tokens out in O(1);
-    # the timed region is what a request-path taker perceives.
-    supply = list(requests)
-
-    def mint_fn(count):
-        batch, supply[:] = supply[:count], supply[count:]
-        return factory.mint_many(batch)
-
-    pool = TokenPool(mint_fn, depth=NUM_TOKENS, batch=MINT_BATCH)
-    pool.start()
-    deadline = time.monotonic() + 60
-    while pool.size() < NUM_TOKENS and time.monotonic() < deadline:
-        time.sleep(0.005)
-    assert pool.size() == NUM_TOKENS, "pool never reached target depth"
-    start = time.perf_counter()
-    taken = [pool.take_nowait() for _ in range(NUM_TOKENS)]
-    pipelined_seconds = time.perf_counter() - start
-    assert all(t is not None for t in taken)
-    pool.close()
+    # Pipelined: a client prefetched to depth off-path hands tokens out
+    # in O(1); the timed region is what a request-path taker perceives.
+    engine = TiptoeEngine(TiptoeIndex.load(tmp_path / "plain"))
+    with engine.new_client(seeded_rng(1), prefetch_depth=NUM_TOKENS) as client:
+        deadline = time.monotonic() + 60
+        while (
+            client.tokens_available() < NUM_TOKENS
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.005)
+        assert client.tokens_available() == NUM_TOKENS, (
+            "prefetcher never reached target depth"
+        )
+        start = time.perf_counter()
+        for _ in range(NUM_TOKENS):
+            client._take_token()
+        pipelined_seconds = time.perf_counter() - start
+    engine.close()
 
     seq_tps = NUM_TOKENS / best_seq
     many_tps = NUM_TOKENS / best_many
@@ -131,7 +129,7 @@ def test_precompute_plane(bench_corpus, tmp_path):
         f"{'mode':>24s} {'tokens/s':>12s} {'speedup':>8s}",
         f"{'sequential mint':>24s} {seq_tps:12.1f} {1.0:7.2f}x",
         f"{'mint_many (16)':>24s} {many_tps:12.1f} {many_tps / seq_tps:7.2f}x",
-        f"{'pipelined pool':>24s} {pipe_tps:12.1f} {pipe_tps / seq_tps:7.2f}x",
+        f"{'prefetched client':>24s} {pipe_tps:12.1f} {pipe_tps / seq_tps:7.2f}x",
         "",
         f"cold start (no sidecar):   {cold:.3f}s",
         f"cold start (with sidecar): {warm:.3f}s  ({cold_speedup:.2f}x)",
@@ -144,7 +142,6 @@ def test_precompute_plane(bench_corpus, tmp_path):
         "precompute",
         {
             "tokens": NUM_TOKENS,
-            "mint_batch": MINT_BATCH,
             "first_mints": FIRST_MINTS,
             "tokens_per_second": {
                 "sequential": seq_tps,

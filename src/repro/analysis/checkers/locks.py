@@ -1,10 +1,10 @@
 """Lock discipline: guarded attributes, lock ordering, blocking calls.
 
-The concurrency added by the batch/ahead-of-time planes (``TokenPool``,
-``BatchScheduler``, the NTT context registry, ``SocketTransport``, the
-obs metrics) all follows one idiom: a ``threading.Lock`` (or a
-``Condition`` wrapping one) acquired via ``with``, guarding a small set
-of attributes.  This checker makes that idiom mechanical:
+The concurrency added by the batch/ahead-of-time planes (the
+``TiptoeClient`` token prefetcher, ``BatchScheduler``, the NTT context
+registry, ``SocketTransport``, the obs metrics) all follows one idiom:
+a ``threading.Lock`` (or a ``Condition`` wrapping one) acquired via
+``with``, guarding a small set of attributes.  This checker makes that idiom mechanical:
 
 * ``# guarded-by: <lockname>`` on an attribute, module global, or
   function local declares its guard.  Every read or write must then

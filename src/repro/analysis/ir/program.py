@@ -96,7 +96,7 @@ def _annotation_names(node: ast.expr | None) -> list[str]:
     """Every plain identifier inside a type annotation.
 
     ``MetricsRegistry | None`` -> ["MetricsRegistry"], ``list[Span]``
-    -> ["list", "Span"], ``"TokenPool"`` -> ["TokenPool"].
+    -> ["list", "Span"], ``"BatchScheduler"`` -> ["BatchScheduler"].
     """
     if node is None:
         return []

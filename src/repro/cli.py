@@ -184,8 +184,7 @@ def _cmd_build_index(args: argparse.Namespace) -> int:
         config,
         rng=np.random.default_rng(args.seed),
     )
-    # Only override the config default when the flag is given.
-    index.save(args.out, precompute=True if args.precompute else None)
+    index.save(args.out, precompute=args.precompute)
     print(f"index over {args.docs} documents written to {args.out}")
     return 0
 

@@ -160,10 +160,21 @@ def _config_manifest(config: TiptoeConfig) -> dict:
     return out
 
 
+#: Config fields since retired.  Manifests written before then still
+#: record them; they are dropped on load.
+_RETIRED_CONFIG_KEYS = frozenset(
+    {
+        "num_workers",
+        "precompute_sidecar",
+        "token_pool_depth",
+        "token_pool_batch",
+        "token_prefetch_depth",
+    }
+)
+
+
 def _config_from_manifest(entry: dict) -> TiptoeConfig:
-    entry = dict(entry)
-    # Manifests written before this knob was retired still record it.
-    entry.pop("num_workers", None)
+    entry = {k: v for k, v in entry.items() if k not in _RETIRED_CONFIG_KEYS}
     unknown = sorted(set(entry) - {f.name for f in fields(TiptoeConfig)})
     if unknown:
         raise ArtifactError(

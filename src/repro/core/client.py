@@ -60,13 +60,22 @@ class SearchResult:
 
 
 class TiptoeClient:
-    """A stateful client bound to one Tiptoe deployment."""
+    """A stateful client bound to one Tiptoe deployment.
+
+    With ``prefetch_depth > 0`` a background thread keeps that many
+    query tokens stockpiled, so ``search`` never mints inline in steady
+    state.  This works the same against an in-process engine and a
+    remote ``serve`` / ``serve-fleet`` deployment.
+    """
 
     def __init__(
         self,
         engine,
         rng: np.random.Generator | None = None,
+        prefetch_depth: int = 0,
     ):
+        if prefetch_depth < 0:
+            raise ValueError("prefetch depth must be non-negative")
         self.engine = engine
         self.rng = sampling.resolve_rng(rng)
         meta = engine.index.client_metadata()
@@ -85,13 +94,11 @@ class TiptoeClient:
         self._token_lock = threading.Lock()
         # Wakes the prefetcher whenever a token is taken.
         self._token_need = threading.Condition(self._token_lock)
-        self._prefetch_depth = int(
-            getattr(engine.index.config, "token_prefetch_depth", 0)
-        )
+        self._prefetch_depth = prefetch_depth
         self._prefetching = False  # guarded-by: _token_lock
-        self._prefetch_thread: threading.Thread | None = None
-        if self._prefetch_depth > 0:
-            self._start_prefetcher()
+        self._closed = False  # guarded-by: _token_lock
+        self._prefetch_thread = None  # guarded-by: _token_lock
+        self._start_prefetcher()
 
     # -- token management (the ahead-of-time phase, SS6.3) -------------------
 
@@ -99,10 +106,7 @@ class TiptoeClient:
         """Stockpile query tokens before deciding on any query."""
         if count < 1:
             return
-        if count == 1:
-            minted = [self.engine.mint_token(self.rng)]
-        else:
-            minted = self.engine.mint_tokens(count, self.rng)
+        minted = self.engine.mint_tokens(count, self.rng)
         with self._token_lock:
             self._tokens.extend(minted)
 
@@ -114,26 +118,31 @@ class TiptoeClient:
         """Pop a stockpiled token, or mint inline when none is ready.
 
         Popping wakes the prefetcher (if running) so the stockpile is
-        topped back up off the query path.
+        topped back up off the query path.  An inline mint restarts a
+        prefetcher that stopped on a failed mint.
         """
         with self._token_lock:
             if self._tokens:
                 token = self._tokens.popleft()
                 self._token_need.notify()
                 return token
-        return self.engine.mint_token(self.rng)
+        token = self.engine.mint_token(self.rng)
+        self._start_prefetcher()
+        return token
 
     # -- the token prefetcher -------------------------------------------------
 
     def _start_prefetcher(self) -> None:
+        """Start the prefetch thread unless it is running, prefetching
+        is off, or the client is closed."""
         with self._token_lock:
-            if self._prefetching:
+            if self._prefetching or self._closed or self._prefetch_depth < 1:
                 return
             self._prefetching = True
-        self._prefetch_thread = threading.Thread(
-            target=self._prefetch_loop, name="token-prefetch", daemon=True
-        )
-        self._prefetch_thread.start()
+            self._prefetch_thread = threading.Thread(
+                target=self._prefetch_loop, name="token-prefetch", daemon=True
+            )
+            self._prefetch_thread.start()
 
     def _prefetch_loop(self) -> None:
         # The prefetcher never touches ``self.rng`` -- numpy Generators
@@ -151,11 +160,9 @@ class TiptoeClient:
                     return
                 want = self._prefetch_depth - len(self._tokens)
             try:
-                if want == 1:
-                    minted = [self.engine.mint_token()]
-                else:
-                    minted = self.engine.mint_tokens(want)
+                minted = self.engine.mint_tokens(want)
             except Exception:
+                # The next inline mint in _take_token restarts us.
                 logger.exception(
                     "token prefetch failed; prefetcher stopping"
                 )
@@ -164,8 +171,8 @@ class TiptoeClient:
                 return
             with self._token_lock:
                 if not self._prefetching:
-                    # Closed mid-mint: drop the batch, mirroring the
-                    # server pool's drain-on-close.
+                    # Closed mid-mint: drop the batch -- its tokens
+                    # hold secret keys and must not outlive close().
                     return
                 self._tokens.extend(minted)
                 obs.gauge("client.tokens_available", len(self._tokens))
@@ -174,12 +181,15 @@ class TiptoeClient:
         """Stop the prefetcher and discard stockpiled tokens.
 
         Tokens hold client secret keys, so they never outlive the
-        client.  Idempotent; also usable as a context manager.
+        client.  Final: the prefetcher never restarts afterwards (a
+        closed client still searches, minting inline).  Idempotent;
+        also usable as a context manager.
         """
         with self._token_lock:
+            self._closed = True
             self._prefetching = False
             self._token_need.notify_all()
-        thread, self._prefetch_thread = self._prefetch_thread, None
+            thread, self._prefetch_thread = self._prefetch_thread, None
         if thread is not None:
             thread.join()
         with self._token_lock:

@@ -54,18 +54,6 @@ class TiptoeConfig:
     #: How long the scheduler holds an under-full batch open waiting
     #: for more queries, in milliseconds.
     max_batch_wait_ms: float = 2.0
-    #: Write the precompute sidecar (``precompute.npz``) when saving an
-    #: index, and use it (validated by digest) when loading one.
-    precompute_sidecar: bool = False
-    #: Target depth of the serving-side pre-mint token pool; 0 disables
-    #: the pool (tokens mint on demand, the lazy path).
-    token_pool_depth: int = 0
-    #: How many tokens one pool refill mints together (`mint_many`
-    #: amortizes the hint NTTs across the batch).
-    token_pool_batch: int = 4
-    #: Target depth of the client-side async token prefetcher; 0
-    #: disables it (``search`` mints inline when out of tokens).
-    token_prefetch_depth: int = 0
     #: Kernel backend executing the hot GEMMs: "auto" (tuned sidecar
     #: plan if present, else reference), "reference", "multiprocess",
     #: or "cnative" -- the cffi-compiled GIL-releasing C kernel, which
@@ -93,12 +81,6 @@ class TiptoeConfig:
             raise ValueError("max batch size must be at least 1")
         if self.max_batch_wait_ms < 0:
             raise ValueError("max batch wait must be non-negative")
-        if self.token_pool_depth < 0:
-            raise ValueError("token pool depth must be non-negative")
-        if self.token_pool_batch < 1:
-            raise ValueError("token pool batch must be at least 1")
-        if self.token_prefetch_depth < 0:
-            raise ValueError("token prefetch depth must be non-negative")
         if not self.kernel_backend:
             raise ValueError(
                 'kernel_backend must name a backend (or "auto")'

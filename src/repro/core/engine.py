@@ -29,7 +29,7 @@ from repro.core.services import build_services
 from repro.homenc.token import QueryToken
 from repro.homenc.token import make_client_keys
 from repro.net import wire
-from repro.net.rpc import RpcChannel, ServiceEndpoint, frame
+from repro.net.rpc import FRAME_BYTES, RpcChannel, ServiceEndpoint
 from repro.net.transport import LinkModel, LoopbackTransport, TrafficLog
 from repro.net.transport import Transport
 from repro.obs import runtime as obs
@@ -59,21 +59,8 @@ class TiptoeEngine:
         self.index = index
         self.link = link if link is not None else LinkModel()
         self._query_embedder = query_embedder
-        self.token_pool = None
         if transport is None:
             self.services = build_services(index)
-            config = index.config
-            if config.token_pool_depth > 0:
-                from repro.core.precompute import TokenPool
-
-                # The pool must attach before services open: the mint
-                # service's open() starts the refill worker.
-                self.token_pool = TokenPool(
-                    lambda count: self.mint_tokens(count),
-                    depth=config.token_pool_depth,
-                    batch=config.token_pool_batch,
-                )
-                self.services["token"].attach_pool(self.token_pool)
             self.transport: Transport = LoopbackTransport(
                 {
                     name: service.endpoint
@@ -88,8 +75,8 @@ class TiptoeEngine:
         self.ranking_service = self.services.get("ranking")
         self.url_service = self.services.get("url")
         # Cold-start accounting: how long standing up this engine took
-        # (services, pool attach, transport).  The precompute sidecar
-        # exists to shrink this number plus the first mint's NTT work.
+        # (services, transport).  The precompute sidecar exists to
+        # shrink this number plus the first mint's NTT work.
         obs.observe("engine.cold_start_seconds", time.perf_counter() - start)
         logger.info(
             "engine up (%s): %d clusters",
@@ -228,61 +215,22 @@ class TiptoeEngine:
         return self.url_service.answer(query)
 
     def mint_token(self, rng: np.random.Generator | None = None) -> QueryToken:
-        """Client-side token acquisition over the serialized RPC path.
-
-        This is the ahead-of-time phase of SS6.3: nothing here depends
-        on the eventual query string, and the recorded byte counts are
-        lengths of real message encodings.
-
-        When the engine runs a pre-mint :class:`TokenPool` and the
-        caller does not pin an RNG, a pooled token is returned when one
-        is ready (O(1), no crypto inline); otherwise this falls through
-        to the lazy mint below.
-        """
-        if self.token_pool is not None and rng is None:
-            token = self.token_pool.take_nowait()
-            if token is not None:
-                return token
-        schemes = {
-            "ranking": self.index.ranking_scheme,
-            "url": self.index.url_scheme,
-        }
-        with obs.span("token.acquire", services=len(schemes)):
-            keys, enc_keys, _ = make_client_keys(schemes, rng)
-            log = TrafficLog()
-            channel = RpcChannel(log, self.transport)
-            body = channel.call(
-                "token",
-                "token",
-                "mint",
-                # tiptoe-lint: disable=taint-wire -- enc_keys is the outer *encryption* of the inner secret; uploading it is the SS6.3 protocol
-                wire.encode_mint_request(enc_keys),
-            )
-            payload = wire.decode_token_payload(body)
-            hint_products = {
-                name: schemes[name].decrypt_hint_product(
-                    keys[name], payload.hints[name]
-                )
-                for name in schemes
-            }
-        return QueryToken(
-            keys=keys,
-            hint_products=hint_products,
-            upload_bytes=log.bytes_up("token"),
-            download_bytes=log.bytes_down("token"),
-        )
+        """One token: :meth:`mint_tokens` of one."""
+        return self.mint_tokens(1, rng)[0]
 
     def mint_tokens(
         self, count: int, rng: np.random.Generator | None = None
     ) -> list[QueryToken]:
-        """Batched token acquisition: K clients through one ``mint_many``.
+        """Client-side token acquisition over the serialized RPC path.
 
-        Key generation draws from ``rng`` in the same order as ``count``
-        sequential :meth:`mint_token` calls, and token i's contents are
-        bit-identical to what the i-th sequential mint would return --
-        the server merely amortizes its hint NTTs across the batch.
-        Per-token byte accounting records the single-mint encodings, so
-        a pooled token reports the same upload/download as a lazy one.
+        This is the ahead-of-time phase of SS6.3: nothing here depends
+        on the eventual query string.  One client's keys go up in one
+        ``mint`` frame; K > 1 clients share one ``mint_many`` frame so
+        the server amortizes its hint NTTs across the batch.  Key
+        generation draws from ``rng`` in the same order as ``count``
+        sequential mints, so token i is bit-identical to the i-th lone
+        mint.  Each token's byte counts are the framed lengths of its
+        own single-mint request and response encodings.
         """
         if count < 1:
             raise ValueError("must mint at least one token")
@@ -290,44 +238,44 @@ class TiptoeEngine:
             "ranking": self.index.ranking_scheme,
             "url": self.index.url_scheme,
         }
-        with obs.span("token.acquire_many", clients=count):
-            keysets = [make_client_keys(schemes, rng) for _ in range(count)]
-            log = TrafficLog()
-            channel = RpcChannel(log, self.transport)
-            body = channel.call(
-                "token",
-                "token",
-                "mint_many",
-                # tiptoe-lint: disable=taint-wire -- each element is the outer *encryption* of an inner secret; uploading it is the SS6.3 protocol
-                wire.encode_mint_many_request([ek for _, ek, _ in keysets]),
-            )
-            payloads = wire.decode_mint_many_payload(body)
-            if len(payloads) != count:
+        with obs.span("token.acquire", services=len(schemes), clients=count):
+            keysets, requests = [], []
+            for _ in range(count):
+                keys, enc_keys, _ = make_client_keys(schemes, rng)
+                keysets.append(keys)
+                # tiptoe-lint: disable=taint-wire -- enc_keys is the outer *encryption* of the inner secret; uploading it is the SS6.3 protocol
+                requests.append(wire.encode_mint_request(enc_keys))
+            channel = RpcChannel(TrafficLog(), self.transport)
+            if count == 1:
+                bodies = [channel.call("token", "token", "mint", requests[0])]
+            else:
+                bodies = wire.split_mint_many_payload(
+                    channel.call(
+                        "token",
+                        "token",
+                        "mint_many",
+                        wire.encode_mint_many_request(requests),
+                    )
+                )
+            if len(bodies) != count:
                 raise ValueError(
-                    f"mint_many returned {len(payloads)} tokens for"
+                    f"mint_many returned {len(bodies)} tokens for"
                     f" {count} clients"
                 )
             tokens = []
-            for (keys, enc_keys, _), payload in zip(keysets, payloads):
-                hint_products = {
-                    name: schemes[name].decrypt_hint_product(
-                        keys[name], payload.hints[name]
-                    )
-                    for name in schemes
-                }
+            for keys, request, body in zip(keysets, requests, bodies):
+                payload = wire.decode_token_payload(body)
                 tokens.append(
                     QueryToken(
                         keys=keys,
-                        hint_products=hint_products,
-                        # Framed single-mint encodings: a batched token
-                        # reports the same bytes as a lazy one would.
-                        # tiptoe-lint: disable=taint-wire -- length of the encrypted-key encoding only; the bytes never leave this process twice
-                        upload_bytes=len(
-                            frame("mint", wire.encode_mint_request(enc_keys))
-                        ),
-                        download_bytes=len(
-                            frame("mint", wire.encode_token_payload(payload))
-                        ),
+                        hint_products={
+                            name: schemes[name].decrypt_hint_product(
+                                keys[name], payload.hints[name]
+                            )
+                            for name in schemes
+                        },
+                        upload_bytes=FRAME_BYTES + len(request),
+                        download_bytes=FRAME_BYTES + len(body),
                     )
                 )
         return tokens
@@ -366,15 +314,16 @@ class TiptoeEngine:
         return int(self.index.url_position_map[layout_position])
 
     def new_client(
-        self, rng: np.random.Generator | None = None
+        self, rng: np.random.Generator | None = None, prefetch_depth: int = 0
     ) -> TiptoeClient:
-        return TiptoeClient(engine=self, rng=rng)
+        return TiptoeClient(engine=self, rng=rng, prefetch_depth=prefetch_depth)
 
     def search(
         self, text: str, rng: np.random.Generator | None = None
     ):
         """One-shot convenience: new client, one token, one search."""
-        return self.new_client(rng).search(text)
+        with self.new_client(rng) as client:
+            return client.search(text)
 
     # -- evaluation helpers (server-side ground truth; not client data) -----------
 

@@ -378,21 +378,18 @@ class TiptoeIndex:
 
     # -- persistence ---------------------------------------------------------
 
-    def save(self, path, *, precompute: bool | None = None) -> None:
+    def save(self, path, *, precompute: bool = False) -> None:
         """Persist the build outputs (see :mod:`repro.core.artifacts`).
 
         A later ``TiptoeIndex.load(path)`` -- typically in a
         ``python -m repro serve`` process -- reconstructs an index
         whose searches are bit-identical to this one's.  With
-        ``precompute=True`` (default: the config's
-        ``precompute_sidecar`` knob) the artifact also gets the
+        ``precompute=True`` the artifact also gets the
         ``precompute.npz`` sidecar, which removes the hint NTTs and
         plan scans from serve cold-start.
         """
         from repro.core.artifacts import save_index
 
-        if precompute is None:
-            precompute = self.config.precompute_sidecar
         save_index(self, path, precompute=precompute)
 
     @classmethod

@@ -41,17 +41,12 @@ class TokenMintService(Service):
     and returns the double-layer hint products in one hint pass (the
     NTTs amortize); ``mint`` is its batch of one.  Nothing here depends
     on any future query.
-
-    A :class:`~repro.core.precompute.TokenPool` may be attached
-    (mirroring the ranking service's scheduler): its refill worker then
-    starts and stops with this service's ``open`` / ``close``.
     """
 
     service_name = "token"
 
     def __init__(self, token_factory):
         self.token_factory = token_factory
-        self._pool = None
 
     def register_endpoint(self, endpoint: ServiceEndpoint) -> None:
         endpoint.register("mint", self._handle_mint)
@@ -66,29 +61,6 @@ class TokenMintService(Service):
         enc_keys_list = wire.decode_mint_many_request(payload)
         minted = self.token_factory.mint_many(enc_keys_list)
         return wire.encode_mint_many_payload(minted)
-
-    def attach_pool(self, pool) -> None:
-        """Install the pre-mint pool; its lifecycle follows this
-        service's ``open``/``close`` once attached."""
-        self._pool = pool
-
-    @property
-    def pool(self):
-        return self._pool
-
-    def open(self) -> None:
-        if self._pool is not None:
-            self._pool.start()
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-
-    def health(self) -> dict:
-        report = {"service": self.service_name, "status": "ok"}
-        if self._pool is not None:
-            report["pool"] = self._pool.health()
-        return report
 
 
 class HintService(Service):

@@ -311,54 +311,53 @@ def decode_mint_request(blob: bytes) -> dict:
     return out
 
 
-def encode_mint_many_request(requests: list[dict]) -> bytes:
-    """Serialize a batched token-mint request (K clients' key uploads).
-
-    Each element is one client's ``enc_keys`` mapping, encoded exactly
-    as a single-mint request; the batch adds only a u16 client count.
-    """
-    parts = [_U16.pack(len(requests))]
-    parts += [_pack_blob(encode_mint_request(r)) for r in requests]
-    return b"".join(parts)
+def _pack_many(blobs: list[bytes]) -> bytes:
+    """[u16 count] then each blob length-prefixed: the batched-mint
+    framing, identical in both directions."""
+    return b"".join([_U16.pack(len(blobs)), *map(_pack_blob, blobs)])
 
 
-def decode_mint_many_request(blob: bytes) -> list[dict]:
-    _require_header(blob, _U16, "mint-many request")
+def _unpack_many(blob: bytes, what: str) -> list[bytes]:
+    _require_header(blob, _U16, what)
     (count,) = _U16.unpack_from(blob)
     pos = _U16.size
     out = []
     for _ in range(count):
         data, pos = _unpack_blob(blob, pos)
-        out.append(decode_mint_request(data))
+        out.append(data)
     if pos != len(blob):
         raise ValueError(
-            f"mint-many request: {len(blob) - pos} trailing bytes after"
-            f" {count} clients"
+            f"{what}: {len(blob) - pos} trailing bytes after {count} clients"
         )
     return out
+
+
+def encode_mint_many_request(requests: list[bytes]) -> bytes:
+    """Serialize a batched token-mint request (K clients' key uploads).
+
+    Each element is one client's already-encoded single-mint request
+    (:func:`encode_mint_request`); the batch adds only a u16 client
+    count and a length prefix per client.
+    """
+    return _pack_many(requests)
+
+
+def decode_mint_many_request(blob: bytes) -> list[dict]:
+    return [
+        decode_mint_request(data)
+        for data in _unpack_many(blob, "mint-many request")
+    ]
 
 
 def encode_mint_many_payload(payloads: list) -> bytes:
     """Serialize the minted tokens for a batched request, in order."""
-    parts = [_U16.pack(len(payloads))]
-    parts += [_pack_blob(encode_token_payload(p)) for p in payloads]
-    return b"".join(parts)
+    return _pack_many([encode_token_payload(p) for p in payloads])
 
 
-def decode_mint_many_payload(blob: bytes) -> list:
-    _require_header(blob, _U16, "mint-many payload")
-    (count,) = _U16.unpack_from(blob)
-    pos = _U16.size
-    out = []
-    for _ in range(count):
-        data, pos = _unpack_blob(blob, pos)
-        out.append(decode_token_payload(data))
-    if pos != len(blob):
-        raise ValueError(
-            f"mint-many payload: {len(blob) - pos} trailing bytes after"
-            f" {count} tokens"
-        )
-    return out
+def split_mint_many_payload(blob: bytes) -> list[bytes]:
+    """The per-client token payloads of a batched response, in order,
+    each still encoded exactly as a single ``mint`` response body."""
+    return _unpack_many(blob, "mint-many payload")
 
 
 def encode_token_payload(payload) -> bytes:

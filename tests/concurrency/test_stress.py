@@ -2,8 +2,9 @@
 
 The lock-discipline checker derives a static acquisition-order graph
 (`lock_order_edges`).  This harness swaps instrumented locks into the
-real concurrency surfaces -- the token pool's refill/drain path and the
-batch scheduler's admission queue -- hammers them from many threads,
+real concurrency surfaces -- the client token stockpile's prefetch/take
+path and the batch scheduler's admission queue -- hammers them from
+many threads,
 and asserts that every lock order actually observed at runtime is an
 edge the static graph already knows about (and that both are acyclic).
 """
@@ -16,7 +17,7 @@ import pytest
 
 from repro.analysis.checkers.locks import find_cycles, lock_order_edges
 from repro.analysis.ir import CallGraph, Program
-from repro.core.precompute import TokenPool
+from repro.core.client import TiptoeClient
 from repro.core.scheduler import BatchScheduler
 from repro.obs import runtime as obs
 from repro.obs.metrics import MetricsRegistry
@@ -111,26 +112,31 @@ def instrumented_obs(recorder):
     registry = MetricsRegistry()
     registry._lock = InstrumentedLock("MetricsRegistry._lock", recorder)
     obs.enable(metrics=registry)
-    # Pre-create the metrics the pool touches so their locks are ours.
-    for name in ("token_pool.depth", "client.tokens_available"):
-        registry.gauge(name)._lock = InstrumentedLock(
-            "Gauge._lock", recorder
-        )
-    for name in ("token_pool.refills", "token_pool.minted"):
-        registry.counter(name)._lock = InstrumentedLock(
-            "Counter._lock", recorder
-        )
-    registry.histogram("token_pool.refill_seconds")._lock = (
-        InstrumentedLock("Histogram._lock", recorder)
+    # Pre-create the metric the prefetcher touches so its lock is ours.
+    registry.gauge("client.tokens_available")._lock = InstrumentedLock(
+        "Gauge._lock", recorder
     )
     yield registry
     obs.disable()
 
 
-def instrument_pool(pool: TokenPool, recorder: LockOrderRecorder) -> None:
-    pool._lock = InstrumentedLock("TokenPool._lock", recorder)
-    pool._need = threading.Condition(pool._lock)
-    pool._avail = threading.Condition(pool._lock)
+class CountingEngine:
+    """An engine double for the client: real index metadata, and
+    unique integers for tokens so a double hand-out is visible."""
+
+    def __init__(self, index):
+        self.index = index
+        self._lock = threading.Lock()
+        self.minted = 0
+
+    def mint_tokens(self, count, rng=None):
+        with self._lock:
+            start, self.minted = self.minted, self.minted + count
+        time.sleep(0.0002)  # make refills overlap with takers
+        return list(range(start, start + count))
+
+    def mint_token(self, rng=None):
+        return self.mint_tokens(1, rng)[0]
 
 
 def instrument_scheduler(
@@ -140,39 +146,42 @@ def instrument_scheduler(
     sched._wakeup = threading.Condition(sched._lock)
 
 
-# -- the token pool under fire ------------------------------------------------
+# -- the client token stockpile under fire ------------------------------------
+
+
+def instrumented_client(
+    index, recorder: LockOrderRecorder, depth: int
+) -> TiptoeClient:
+    """A client whose stockpile lock reports to ``recorder``."""
+    # Depth 0 at construction: the prefetcher starts only once the
+    # stockpile lock is instrumented.
+    client = TiptoeClient(CountingEngine(index))
+    client._token_lock = InstrumentedLock(
+        "TiptoeClient._token_lock", recorder
+    )
+    client._token_need = threading.Condition(client._token_lock)
+    client._prefetch_depth = depth
+    client._start_prefetcher()
+    return client
 
 
 class TestTokenPoolStress:
+    """The client token stockpile -- the one token pool -- under fire."""
+
     TAKERS = 4
     TAKES_EACH = 40
 
     def test_refill_drain_hammer_obeys_static_lock_order(
-        self, recorder, instrumented_obs
+        self, engine, recorder, instrumented_obs, static_edges
     ):
-        minted_ids = []
-        mint_lock = threading.Lock()
-
-        def mint(count):
-            with mint_lock:
-                start = len(minted_ids)
-                batch = list(range(start, start + count))
-                minted_ids.extend(batch)
-            time.sleep(0.0002)  # make refills overlap with takers
-            return batch
-
+        client = instrumented_client(engine.index, recorder, depth=8)
         taken: list[list] = [[] for _ in range(self.TAKERS)]
-
-        pool = TokenPool(mint, depth=8, batch=4)
-        instrument_pool(pool, recorder)
 
         def taker(slot):
             for _ in range(self.TAKES_EACH):
-                token = pool.take(timeout=2.0)
-                if token is not None:
-                    taken[slot].append(token)
+                taken[slot].append(client._take_token())
 
-        with pool:
+        with client:
             threads = [
                 threading.Thread(target=taker, args=(i,), daemon=True)
                 for i in range(self.TAKERS)
@@ -183,23 +192,32 @@ class TestTokenPoolStress:
                 t.join()
 
         got = [tok for slot in taken for tok in slot]
+        assert len(got) == self.TAKERS * self.TAKES_EACH
         assert len(got) == len(set(got)), "a token was handed out twice"
-        assert got, "the pool never served a token"
 
         observed = recorder.edges
-        assert observed, "instrumentation observed no nested acquisitions"
-        assert ("TokenPool._lock", "MetricsRegistry._lock") in observed
-        assert ("TokenPool._lock", "Gauge._lock") in observed
+        assert ("TiptoeClient._token_lock", "Gauge._lock") in observed
+        assert observed <= static_edges, (
+            f"runtime lock orders unknown to the static graph: "
+            f"{observed - static_edges}"
+        )
+        dummy = {edge: ("<runtime>", 0) for edge in observed}
+        assert find_cycles(dummy) == []
 
     def test_observed_orders_are_a_subset_of_the_static_graph(
-        self, recorder, instrumented_obs, static_edges
+        self, engine, recorder, instrumented_obs, static_edges
     ):
-        pool = TokenPool(lambda n: list(range(n)), depth=4, batch=2)
-        instrument_pool(pool, recorder)
-        with pool:
+        """One taker draining a small stockpile: every refill the take
+        wakes records its lock order too."""
+        with instrumented_client(engine.index, recorder, depth=4) as client:
             for _ in range(32):
-                pool.take(timeout=2.0)
+                deadline = time.monotonic() + 10.0
+                while not client.tokens_available():
+                    assert time.monotonic() < deadline, "no refill"
+                    time.sleep(0.0005)
+                client._take_token()
         observed = recorder.edges
+        assert observed, "instrumentation observed no nested acquisitions"
         assert observed <= static_edges, (
             f"runtime lock orders unknown to the static graph: "
             f"{observed - static_edges}"

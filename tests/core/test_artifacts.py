@@ -123,6 +123,29 @@ class TestValidation:
         )
         assert load_index(tmp_path).config == load_index(saved).config
 
+    def test_retired_token_keys_still_load(self, engine, saved, tmp_path):
+        """Manifests from before the ahead-of-time knobs left the config
+        record them; they are dropped and answers stay bit-identical."""
+        self._copy_with_edited_manifest(
+            saved,
+            tmp_path,
+            lambda m: m["config"].update(
+                token_pool_depth=0,
+                token_pool_batch=4,
+                token_prefetch_depth=0,
+                precompute_sidecar=False,
+            ),
+        )
+        assert load_index(tmp_path).config == engine.index.config
+        old = TiptoeEngine(TiptoeIndex.load(tmp_path))
+        a = engine.search("alpha beta", rng=np.random.default_rng(7))
+        b = old.search("alpha beta", rng=np.random.default_rng(7))
+        old.close()
+        assert b.cluster == a.cluster
+        assert [(r.position, r.score, r.url) for r in b.results] == [
+            (r.position, r.score, r.url) for r in a.results
+        ]
+
     def test_unknown_config_key_is_named(self, saved, tmp_path):
         self._copy_with_edited_manifest(
             saved, tmp_path, lambda m: m["config"].update(num_gizmos=2)
@@ -267,17 +290,6 @@ class TestPrecomputeSidecar:
         with pytest.raises(ArtifactError, match="save the index"):
             write_precompute_sidecar(engine.index, tmp_path)
 
-    def test_index_save_honors_config_default(self, engine, tmp_path):
-        """TiptoeConfig.precompute_sidecar drives index.save()."""
-        import dataclasses
-
-        config = dataclasses.replace(
-            engine.index.config, precompute_sidecar=True
-        )
-        index = dataclasses.replace(engine.index, config=config)
-        index.save(tmp_path / "auto")
-        assert (tmp_path / "auto" / "precompute.npz").is_file()
-
 
 class TestKernelPlanSidecar:
     """The autotuned KernelPlan record rides the precompute sidecar:
@@ -316,12 +328,10 @@ class TestKernelPlanSidecar:
         from repro.lwe.backends import backend_names
 
         config = dataclasses.replace(
-            engine.index.config,
-            precompute_sidecar=True,
-            kernel_autotune=True,
+            engine.index.config, kernel_autotune=True
         )
         index = dataclasses.replace(engine.index, config=config)
-        index.save(tmp_path)
+        index.save(tmp_path, precompute=True)
         meta, _ = load_precompute_sidecar(tmp_path)
         record = meta["kernel_plan"]
         assert set(record) == {"ranking", "url"}
