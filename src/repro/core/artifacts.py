@@ -234,7 +234,8 @@ def write_precompute_sidecar(
     (optionally) the autotuned ``kernel_plan`` record -- all keyed to
     the exact ``arrays.npz`` it was derived from by SHA-256 digest.
     Everything in it is derived data: a ``serve`` without the sidecar
-    computes the same values lazily (and untuned).
+    computes the same values itself (untuned), redoing the hint NTTs on
+    every mint.
 
     ``kernel_plan`` is a ``{"ranking": ..., "url": ...}`` record from
     :func:`repro.lwe.backends.tune_index`; when None and the index

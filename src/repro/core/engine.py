@@ -230,13 +230,19 @@ class TiptoeEngine:
         generation draws from ``rng`` in the same order as ``count``
         sequential mints, so token i is bit-identical to the i-th lone
         mint.  Each token's byte counts are the framed lengths of its
-        own single-mint request and response encodings.
+        own single-mint request and response encodings.  Every returned
+        hint is checked against its service's scheme and hint height
+        (:meth:`DoubleLheScheme.check_hint`) before it is decrypted.
         """
         if count < 1:
             raise ValueError("must mint at least one token")
         schemes = {
             "ranking": self.index.ranking_scheme,
             "url": self.index.url_scheme,
+        }
+        rows = {
+            "ranking": self.index.ranking_prep.rows,
+            "url": self.index.url_prep.rows,
         }
         with obs.span("token.acquire", services=len(schemes), clients=count):
             keysets, requests = [], []
@@ -265,6 +271,13 @@ class TiptoeEngine:
             tokens = []
             for keys, request, body in zip(keysets, requests, bodies):
                 payload = wire.decode_token_payload(body)
+                for name, scheme in schemes.items():
+                    try:
+                        scheme.check_hint(payload.hints[name], rows[name])
+                    except (KeyError, ValueError) as exc:
+                        raise ValueError(
+                            f"token for service {name!r} rejected: {exc}"
+                        ) from None
                 tokens.append(
                     QueryToken(
                         keys=keys,

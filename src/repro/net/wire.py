@@ -57,6 +57,14 @@ def _require_words(
         )
 
 
+def _require_end(blob: bytes, pos: int, what: str) -> None:
+    """Reject bytes left over after the last declared field."""
+    if pos != len(blob):
+        raise ValueError(
+            f"{what}: {len(blob) - pos} trailing bytes after the last field"
+        )
+
+
 def encode_ciphertext(ct: Ciphertext) -> bytes:
     """Serialize an inner-layer ciphertext vector."""
     q_bits = ct.params.q_bits
@@ -380,6 +388,7 @@ def decode_token_payload(blob: bytes):
         name, pos = _unpack_str(blob, pos)
         data, pos = _unpack_blob(blob, pos)
         hints[name] = decode_compressed_hint(data)
+    _require_end(blob, pos, "token payload")
     return TokenPayload(hints=hints)
 
 
@@ -457,4 +466,5 @@ def decode_compressed_hint(blob: bytes):
         size = _RLWE_HEADER.size + 2 * k * n * 8
         chunks.append(decode_rlwe(blob[pos : pos + size]))
         pos += size
+    _require_end(blob, pos, "compressed hint")
     return CompressedHint(chunks=tuple(chunks), rows=rows)

@@ -217,21 +217,23 @@ class BfvScheme:
         Ciphertext i is ``(b[i], a[i])`` with ``a = ring.expand_uniform(
         a_seed, len(values))`` read as NTT-domain, so only the returned
         NTT-domain ``b`` stack, shape ``(len(values), k, n)``, and the
-        seed need to travel.  One Gaussian draw, one batched NTT per
-        prime and one broadcast multiply-add replace a per-value
-        :meth:`encrypt` loop; a constant's encoding touches coefficient
-        0 only, so it is looked up once per distinct value.
+        seed need to travel.  One Gaussian draw and one exact GEMM per
+        prime (:meth:`RnsContext.to_ntt_small`, the error is small and
+        signed) replace a per-value :meth:`encrypt` loop, with ``a*s``
+        and the encodings folded into the same reduction mod p.  A
+        constant's encoding is the same residue in every NTT slot, so it
+        needs no transform and is looked up once per distinct value.
         """
         rng = sampling.resolve_rng(rng)
         ring = self.ring
         values = np.asarray(values, dtype=np.int64)
         a_ntt = ring.expand_uniform(a_seed, len(values))
-        payload = ring.sample_gaussian(rng, self.params.sigma, len(values))
+        e = ring.sample_gaussian_signed(rng, self.params.sigma, len(values))
         distinct, which = np.unique(values, return_inverse=True)
         table = ring.from_ints(self._scale(distinct))  # (k, distinct)
-        payload[:, :, :1] = ring.add(payload[:, :, :1], table.T[which, :, None])
-        payload = ring.to_ntt(payload)
-        return ring.add(ring.mul_pointwise(a_ntt, sk.s_ntt), payload)
+        # a*s < p^2 < 2^62 stays unreduced until to_ntt_small's one % p.
+        np.multiply(a_ntt, sk.s_ntt, out=a_ntt)
+        return ring.to_ntt_small(e, constants=table.T[which], addend=a_ntt)
 
     def decrypt_phase(self, sk: BfvSecretKey, ct: BfvCiphertext) -> list[int]:
         """The centered decryption phase ``b - a*s`` as Python ints."""

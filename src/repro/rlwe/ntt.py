@@ -209,6 +209,24 @@ class NttContext:
                 m = h
             return out * self._n_inv % p
 
+    @functools.cached_property
+    def small_matrix(self) -> np.ndarray:
+        """The forward NTT as a centred ``(n, n)`` float64 matrix.
+
+        Row c is ``forward(x^c)`` lifted into (-p/2, p/2], so by
+        linearity ``forward(x mod p) == x @ W mod p`` for signed integer
+        ``x``; the float product is exact while every dot product stays
+        below 2^53 (see :meth:`repro.rlwe.poly.RnsContext.to_ntt_small`).
+        Built on first use from :meth:`forward` -- n^2 * 8 bytes, 0.5 MiB
+        at n = 256 and 32 MiB at n = 2048 -- and shared by every user of
+        this ``(n, p)`` context, like the twiddle tables.
+        """
+        rows = self.forward(np.eye(self.n, dtype=np.uint64))
+        centred = rows.astype(np.float64)
+        centred[rows > np.uint64(self.p // 2)] -= float(self.p)
+        centred.setflags(write=False)
+        return centred
+
     def negacyclic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Product of two polynomials in Z_p[x]/(x^n + 1)."""
         fa = self.forward(a)

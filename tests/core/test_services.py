@@ -109,6 +109,88 @@ class TestMalformedKeyOverTcp:
         assert str(good.z_b.shape) in message
 
 
+class Tampering:
+    """Loopback to the real services, with every ``token`` response body
+    rewritten by ``edit``: a corrupted or malicious server."""
+
+    def __init__(self, inner, edit):
+        self.inner, self.edit = inner, edit
+
+    def request(self, service, request, *, timeout=None):
+        response = self.inner.request(service, request, timeout=timeout)
+        if service != "token":
+            return response
+        method, body = unframe(response)
+        return frame(method, self.edit(body))
+
+    def close(self):
+        pass
+
+
+class TestMalformedHintPayload:
+    """``mint_tokens`` checks every returned hint before decrypting it:
+    a bad one raises, naming the service, instead of becoming a token
+    whose hint product is silently wrong."""
+
+    @staticmethod
+    def _mint(engine, edit):
+        remote = TiptoeEngine(
+            engine.index, transport=Tampering(engine.transport, edit)
+        )
+        return remote.mint_token(np.random.default_rng(5))
+
+    @staticmethod
+    def _edit_url_hint(change):
+        def edit(body):
+            payload = wire.decode_token_payload(body)
+            payload.hints["url"] = change(payload.hints["url"])
+            return wire.encode_token_payload(payload)
+
+        return edit
+
+    def test_untampered_payload_mints(self, engine):
+        token = self._mint(engine, lambda body: body)
+        assert set(token.hint_products) == {"ranking", "url"}
+
+    def test_inflated_rows_rejected(self, engine):
+        from repro.homenc.double import CompressedHint
+
+        edit = self._edit_url_hint(
+            lambda hint: CompressedHint(chunks=hint.chunks, rows=5000)
+        )
+        with pytest.raises(ValueError, match="service 'url'.*5000 rows"):
+            self._mint(engine, edit)
+
+    def test_oversized_residue_rejected(self, engine):
+        from repro.homenc.double import CompressedHint
+        from repro.rlwe.bfv import BfvCiphertext
+
+        def change(hint):
+            first = hint.chunks[0]
+            a = first.a.copy()
+            a[0, 0] = 1 << 40
+            chunk = BfvCiphertext(b=first.b, a=a)
+            return CompressedHint(
+                chunks=(chunk,) + hint.chunks[1:], rows=hint.rows
+            )
+
+        with pytest.raises(ValueError, match="service 'url'.*outside"):
+            self._mint(engine, self._edit_url_hint(change))
+
+    def test_missing_service_rejected(self, engine):
+        def drop_url(body):
+            payload = wire.decode_token_payload(body)
+            del payload.hints["url"]
+            return wire.encode_token_payload(payload)
+
+        with pytest.raises(ValueError, match="service 'url'"):
+            self._mint(engine, drop_url)
+
+    def test_trailing_bytes_rejected(self, engine):
+        with pytest.raises(ValueError, match="trailing bytes"):
+            self._mint(engine, lambda body: bytes(body) + b"\0")
+
+
 class TestEngineModes:
     def test_loopback_engine_owns_its_services(self, engine):
         assert isinstance(engine.transport, LoopbackTransport)

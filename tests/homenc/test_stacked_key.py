@@ -1,16 +1,26 @@
 """The stacked, seed-compressed encrypted key against the per-component
-oracle (``key_oracle.py``) and against plaintext ``H' s mod T``."""
+oracle (``key_oracle.py``) and against plaintext ``H' s mod T``; the
+limb-split hint evaluation against the per-prime oracle loop."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.core.indexer import _OUTER_N
 from repro.homenc import DoubleLheParams, DoubleLheScheme
-from repro.homenc.double import KEY_SEED_BYTES, PreprocessedMatrix
+from repro.homenc.double import (
+    KEY_SEED_BYTES,
+    EncryptedKey,
+    PreprocessedMatrix,
+)
 from repro.lwe.params import SecurityLevel, select_params
 from repro.lwe.sampling import seeded_rng
 from repro.rlwe.bfv import BfvCiphertext
-from tests.homenc.key_oracle import encrypt_key_per_component
+from tests.homenc.key_oracle import (
+    encrypt_key_per_component,
+    evaluate_hint_per_prime,
+)
 
 #: The ranking scheme runs at q = 2^64, the URL scheme at q = 2^32.
 SERVICES = {"ranking": 64, "url": 32}
@@ -71,6 +81,74 @@ class TestBitIdentity:
         assert np.array_equal(
             products[0].astype(object), clear_product(scheme, keys, prep)
         )
+
+
+class TestGolden:
+    """``z_b`` for a pinned rng is fixed: these digests were taken from
+    the butterfly-NTT encryption that :meth:`RnsContext.to_ntt_small`
+    replaced, so the GEMM transform must reproduce it bit for bit."""
+
+    DIGESTS = {
+        (SecurityLevel.TOY, "ranking"): "075a4629a047f3f52a30d3d373ee4c8aa2aa71c529a4685201716ea5c6823fc0",
+        (SecurityLevel.TOY, "url"): "e5f9332a3f481fb1814a0f6f87975387073bfddac15c6da572819b56fe9b10af",
+        (SecurityLevel.LIGHT, "ranking"): "08059aa971110bb462db94383377dea89699609f317195127ed65af8e22467f0",
+        (SecurityLevel.LIGHT, "url"): "a945c3aa883a92ce3a3d0c1f6d89a61882baf16cdf38c04055a24fab23e70d8c",
+    }
+
+    @pytest.mark.parametrize("service", sorted(SERVICES))
+    def test_z_b_digest_is_pinned(self, level, service):
+        scheme = scheme_for(level, service)
+        rng = seeded_rng(11)
+        key = scheme.encrypt_key(scheme.gen_keys(rng), rng)
+        digest = hashlib.sha256(key.z_b.tobytes()).hexdigest()
+        assert digest == self.DIGESTS[level, service]
+
+
+class TestHintEvaluation:
+    @pytest.mark.parametrize("service", sorted(SERVICES))
+    @pytest.mark.parametrize("sidecar", [False, True])
+    def test_limb_sums_match_the_per_prime_loop(self, level, service, sidecar):
+        """A batch of three keys over a hint of three chunks, with and
+        without the precomputed NTT table: every ciphertext word equals
+        the oracle's."""
+        scheme = scheme_for(level, service)
+        rng = seeded_rng(9)
+        t = scheme.params.switch_modulus
+        rows = 2 * scheme.params.outer_n + 3
+        prep = switched_prep(
+            rng.integers(0, t, size=(rows, scheme.params.inner.n)).astype(
+                np.uint64
+            )
+        )
+        if sidecar:
+            prep = scheme.with_hint_ntt(prep)
+        keys = [scheme.encrypt_key(scheme.gen_keys(rng), rng) for _ in range(3)]
+        for key, got in zip(keys, scheme.evaluate_hint_batch(keys, prep)):
+            want = evaluate_hint_per_prime(scheme, key, prep)
+            assert got.rows == want.rows
+            assert len(got.chunks) == len(want.chunks) == 3
+            for g, w in zip(got.chunks, want.chunks):
+                np.testing.assert_array_equal(g.b, w.b)
+                np.testing.assert_array_equal(g.a, w.a)
+
+    def test_worst_case_residues_do_not_overflow(self):
+        """Every key and hint-NTT word at p - 1: the largest limb sums
+        the uint64 accumulation can see."""
+        scheme = scheme_for(SecurityLevel.LIGHT, "ranking")
+        ring = scheme.outer.ring
+        top = np.array(ring.primes, dtype=np.uint64).reshape(-1, 1) - 1
+        z_b = np.broadcast_to(top, (scheme.params.inner.n, ring.k, ring.n))
+        key = EncryptedKey(z_b=z_b.copy(), a_seed=b"w" * KEY_SEED_BYTES)
+        table = np.broadcast_to(
+            top[None, :, :, None], (1, ring.k, scheme.params.inner.n, ring.n)
+        )
+        prep = PreprocessedMatrix(
+            hint=None, switched_hint=None, rows=ring.n, hint_ntt=table
+        )
+        (got,) = scheme.evaluate_hint(key, prep).chunks
+        (want,) = evaluate_hint_per_prime(scheme, key, prep).chunks
+        np.testing.assert_array_equal(got.b, want.b)
+        np.testing.assert_array_equal(got.a, want.a)
 
 
 class TestSeed:

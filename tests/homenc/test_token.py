@@ -10,7 +10,9 @@ from repro.homenc import (
     TokenFactory,
     TokenReuseError,
 )
+from repro.homenc.double import CompressedHint
 from repro.homenc.token import make_client_keys, request_token
+from repro.rlwe.bfv import BfvCiphertext
 from repro.lwe import LweParams
 from repro.lwe.sampling import seeded_rng
 
@@ -268,3 +270,59 @@ class TestMalformedKeys:
         bad = EncryptedKey(z_b=key.z_b[:1], a_seed=key.a_seed)
         with pytest.raises(ValueError, match="client 1"):
             factory.mint_many([good, {"ranking": bad, "url": bad}])
+
+
+class TestMalformedHints:
+    """``check_hint`` refuses a compressed hint the client cannot decrypt
+    into the right rows -- each case would otherwise decrypt silently
+    into a wrong hint product."""
+
+    @pytest.fixture()
+    def minted(self, two_services):
+        schemes, factory, _, _ = two_services
+        _, enc_keys, _ = make_client_keys(schemes, seeded_rng(70))
+        hint = factory.mint(enc_keys).hints["ranking"]
+        rows = factory.service("ranking").prep.rows
+        return schemes["ranking"], hint, rows
+
+    @staticmethod
+    def _with_first_chunk(hint, b=None, a=None):
+        first = hint.chunks[0]
+        chunk = BfvCiphertext(
+            b=first.b if b is None else b, a=first.a if a is None else a
+        )
+        return CompressedHint(chunks=(chunk,) + hint.chunks[1:], rows=hint.rows)
+
+    def test_a_minted_hint_passes(self, minted):
+        scheme, hint, rows = minted
+        scheme.check_hint(hint, rows)
+
+    def test_rows_other_than_the_services_rejected(self, minted):
+        scheme, hint, rows = minted
+        inflated = CompressedHint(chunks=hint.chunks, rows=5000)
+        with pytest.raises(ValueError, match="5000 rows"):
+            scheme.check_hint(inflated, rows)
+
+    def test_missing_chunk_rejected(self, minted):
+        scheme, hint, rows = minted
+        with pytest.raises(ValueError, match="0 chunks"):
+            scheme.check_hint(CompressedHint(chunks=(), rows=rows), rows)
+
+    @pytest.mark.parametrize("half", ["b", "a"])
+    @pytest.mark.parametrize("cut", ["k", "n_outer"])
+    def test_wrong_chunk_shape_rejected(self, minted, half, cut):
+        scheme, hint, rows = minted
+        words = getattr(hint.chunks[0], half)
+        short = words[:-1] if cut == "k" else words[:, :-1]
+        bad = self._with_first_chunk(hint, **{half: short})
+        with pytest.raises(ValueError, match=f"chunk 0 {half} is uint64"):
+            scheme.check_hint(bad, rows)
+
+    @pytest.mark.parametrize("value", ["p", "2^40"])
+    def test_residue_at_or_above_its_prime_rejected(self, minted, value):
+        scheme, hint, rows = minted
+        a = hint.chunks[0].a.copy()
+        p = scheme.outer.ring.primes[2]
+        a[2, 7] = p if value == "p" else 1 << 40
+        with pytest.raises(ValueError, match="chunk 0 a has residues outside"):
+            scheme.check_hint(self._with_first_chunk(hint, a=a), rows)

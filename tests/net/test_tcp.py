@@ -47,6 +47,31 @@ def server():
     runner.close()
 
 
+class ByteSocket:
+    """A socket double: ``sendall`` records what was sent, ``recv``
+    delivers a single byte of ``incoming`` per call and then
+    end-of-stream."""
+
+    def __init__(self, incoming=b""):
+        self.incoming = incoming
+        self.wire = bytearray()
+        self.recv_calls = 0
+
+    def sendall(self, data):
+        self.wire += data
+
+    def recv(self, limit):
+        self.recv_calls += 1
+        chunk, self.incoming = self.incoming[:1], self.incoming[1:]
+        return chunk
+
+    def settimeout(self, timeout):
+        pass
+
+    def close(self):
+        pass
+
+
 class TestFrameConnection:
     def test_round_trip_over_a_socketpair(self):
         left, right = socket.socketpair()
@@ -73,6 +98,48 @@ class TestFrameConnection:
         left.sendall(header)
         with pytest.raises(TransportError, match="maximum"):
             FrameConnection(right).recv_frame(timeout=2.0)
+
+    def test_one_byte_per_recv_reassembles_byte_identically(self):
+        payload = bytes(range(256)) * 41
+        sender = ByteSocket()
+        FrameConnection(sender).send_frame(9, "token", STATUS_OK, payload)
+        receiver = ByteSocket(bytes(sender.wire))
+        rid, service, status, got = FrameConnection(receiver).recv_frame(1.0)
+        assert (rid, service, status) == (9, "token", STATUS_OK)
+        assert got == payload
+        assert receiver.recv_calls > len(payload)  # one byte at a time
+
+    def test_empty_payload_round_trips(self):
+        sender = ByteSocket()
+        FrameConnection(sender).send_frame(3, "echo", STATUS_OK, b"")
+        receiver = ByteSocket(bytes(sender.wire))
+        assert FrameConnection(receiver).recv_frame(1.0) == (
+            3, "echo", STATUS_OK, b""
+        )
+
+    def test_peer_closing_mid_frame_is_connection_lost(self):
+        sender = ByteSocket()
+        FrameConnection(sender).send_frame(1, "echo", STATUS_OK, b"x" * 100)
+        cut = ByteSocket(bytes(sender.wire[:-40]))
+        with pytest.raises(TransportConnectionLost, match="closed by peer"):
+            FrameConnection(cut).recv_frame(1.0)
+
+    def test_large_frame_over_a_socketpair(self):
+        left, right = socket.socketpair()
+        payload = bytearray(b"\xab" * (3 << 20))
+        sent = threading.Thread(
+            target=FrameConnection(left).send_frame,
+            args=(5, "token", STATUS_OK, payload),
+        )
+        sent.start()
+        try:
+            _, _, _, got = FrameConnection(right).recv_frame(timeout=10.0)
+        finally:
+            sent.join(timeout=10.0)
+        assert not sent.is_alive()
+        assert got == payload
+        left.close()
+        right.close()
 
     def test_oversized_service_name_rejected_on_send(self):
         left, _ = socket.socketpair()

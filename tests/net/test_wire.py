@@ -77,18 +77,53 @@ class TestRlwe:
 
 
 @pytest.fixture(scope="module")
-def enc_key():
+def key_scheme():
     from repro.homenc import DoubleLheParams, DoubleLheScheme
 
     inner = LweParams(n=16, q_bits=64, p=256, sigma=6.4, m=8)
-    scheme = DoubleLheScheme(
+    return DoubleLheScheme(
         DoubleLheParams(inner=inner, outer_n=32), a_seed=b"K" * 32
     )
+
+
+@pytest.fixture(scope="module")
+def enc_key(key_scheme):
     rng = seeded_rng(6)
-    return scheme.encrypt_key(scheme.gen_keys(rng), rng)
+    return key_scheme.encrypt_key(key_scheme.gen_keys(rng), rng)
+
+
+@pytest.fixture(scope="module")
+def token_payload(key_scheme, enc_key):
+    """A minted two-service token, each hint two chunks long."""
+    from repro.homenc import TokenFactory
+
+    factory = TokenFactory()
+    matrix = seeded_rng(7).integers(0, 256, size=(40, 8))
+    for name in ("ranking", "url"):
+        factory.register(name, key_scheme, key_scheme.preprocess(matrix))
+    return factory.mint({"ranking": enc_key, "url": enc_key})
 
 
 class TestEncryptedKey:
+    def test_mint_request_layout(self, enc_key):
+        """One unique key, then the service map: ``[u16 1][u32 len][key]
+        [u16 2]`` and per service ``[u8 len][name][u16 0]``."""
+        import struct
+
+        key = bytes(wire.encode_encrypted_key(enc_key))
+        want = (
+            struct.pack("<HI", 1, len(key))
+            + key
+            + struct.pack("<H", 2)
+            + b"\x07ranking\x00\x00"
+            + b"\x03url\x00\x00"
+        )
+        blob = wire.encode_mint_request({"ranking": enc_key, "url": enc_key})
+        assert bytes(blob) == want
+        back = wire.decode_mint_request(blob)
+        assert back["ranking"] is back["url"]
+        np.testing.assert_array_equal(back["url"].z_b, enc_key.z_b)
+
     def test_round_trip_and_size(self, enc_key):
         blob = wire.encode_encrypted_key(enc_key)
         assert len(blob) == enc_key.wire_bytes() + wire._KEY_HEADER.size
@@ -168,6 +203,16 @@ class TestTruncationHardening:
         short = EncryptedKey(z_b=enc_key.z_b, a_seed=enc_key.a_seed[:31])
         with pytest.raises(ValueError, match="31 bytes"):
             wire.encode_encrypted_key(short)
+
+    def test_compressed_hint_trailing_bytes_rejected(self, token_payload):
+        blob = wire.encode_compressed_hint(token_payload.hints["ranking"])
+        with pytest.raises(ValueError, match="compressed hint: 1 trailing"):
+            wire.decode_compressed_hint(blob + b"\0")
+
+    def test_token_payload_trailing_bytes_rejected(self, token_payload):
+        blob = wire.encode_token_payload(token_payload)
+        with pytest.raises(ValueError, match="token payload: 3 trailing"):
+            wire.decode_token_payload(blob + b"\0\0\0")
 
     def test_decoded_arrays_are_writable(self, regev_ct):
         scheme, _, ct = regev_ct

@@ -80,6 +80,76 @@ class TestStacks:
             assert a[:, i].max() < p
 
 
+class TestSmallTransform:
+    """``to_ntt_small`` (one exact float64 GEMM per prime) against the
+    butterfly NTT of the lifted stack, which stays the oracle."""
+
+    @pytest.fixture(scope="class", params=[64, 256, 2048])
+    def big_ring(self, request):
+        n = request.param
+        return RnsContext(n, find_ntt_primes(n, 30, 3))
+
+    @staticmethod
+    def _oracle(ring, x):
+        return ring.to_ntt(ring.from_signed(x))
+
+    def test_bound_is_the_float64_exactness_limit(self, big_ring):
+        assert big_ring.small_bound == (1 << 23) // big_ring.n
+
+    @pytest.mark.parametrize("kind", ["gaussian", "ternary"])
+    def test_matches_the_butterfly_ntt(self, big_ring, kind):
+        rng = np.random.default_rng(big_ring.n)
+        rows = 3 if big_ring.n == 2048 else 9
+        if kind == "gaussian":
+            x = big_ring.sample_gaussian_signed(rng, 3.2, rows)
+        else:
+            x = rng.integers(-1, 2, size=(rows, big_ring.n))
+        got = big_ring.to_ntt_small(x)
+        assert got.shape == (rows, big_ring.k, big_ring.n)
+        np.testing.assert_array_equal(got, self._oracle(big_ring, x))
+
+    def test_exact_at_the_largest_allowed_coefficients(self, big_ring):
+        """Every coefficient at +-(bound - 1): the largest dot products
+        the float64 product must still hold exactly."""
+        top = big_ring.small_bound - 1
+        rng = np.random.default_rng(1)
+        signs = rng.choice([-1, 1], size=(2, big_ring.n))
+        x = np.stack([np.full(big_ring.n, top), np.full(big_ring.n, -top)])
+        x = np.concatenate([x, signs * top])
+        np.testing.assert_array_equal(
+            big_ring.to_ntt_small(x), self._oracle(big_ring, x)
+        )
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rejects_coefficients_at_the_bound(self, big_ring, sign):
+        x = np.zeros((2, big_ring.n), dtype=np.int64)
+        x[1, 5] = sign * big_ring.small_bound
+        with pytest.raises(ValueError, match="strictly within"):
+            big_ring.to_ntt_small(x)
+
+    def test_constants_and_addend_join_the_reduction(self, ring):
+        rng = np.random.default_rng(7)
+        x = rng.integers(-20, 20, size=(2, 4, ring.n))
+        constants = np.stack(
+            [rng.integers(0, p, size=(2, 4)) for p in ring.primes], axis=-1
+        ).astype(np.uint64)
+        a = np.stack(
+            [rng.integers(0, p, size=(2, 4, ring.n)) for p in ring.primes],
+            axis=-2,
+        ).astype(np.uint64)
+        s = ring.to_ntt(ring.from_signed(rng.integers(-1, 2, size=ring.n)))
+        got = ring.to_ntt_small(x, constants=constants, addend=a * s)
+        lifted = ring.from_signed(x)
+        primes = np.array(ring.primes, dtype=np.uint64)
+        lifted[..., 0] = (lifted[..., 0] + constants) % primes
+        want = ring.add(ring.mul_pointwise(a, s), ring.to_ntt(lifted))
+        np.testing.assert_array_equal(got, want)
+
+    def test_rejects_a_wrong_ring_dimension(self, ring):
+        with pytest.raises(ValueError, match="coefficients"):
+            ring.to_ntt_small(np.zeros((2, ring.n + 1), dtype=np.int64))
+
+
 class TestSampling:
     def test_uniform_covers_range(self, ring):
         rng = np.random.default_rng(3)
