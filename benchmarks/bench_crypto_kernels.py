@@ -111,8 +111,13 @@ def test_double_layer_compression(benchmark):
     enc_key = scheme.encrypt_key(keys, rng)
     matrix = rng.integers(-8, 8, size=(512, inner.m))
     prep = scheme.preprocess(matrix)
+    a_product = scheme.a_product(prep)
+    scheme.adopt_a_product(a_product, prep.rows)
     compressed = benchmark.pedantic(
-        scheme.evaluate_hint, args=(enc_key, prep), rounds=3, iterations=1
+        scheme.evaluate_hint,
+        args=(enc_key, prep, a_product),
+        rounds=3,
+        iterations=1,
     )
     raw_hint = scheme.inner.hint_bytes(512)
     token = compressed.wire_bytes()
@@ -122,7 +127,8 @@ def test_double_layer_compression(benchmark):
             f"raw SimplePIR hint: {raw_hint:,} bytes",
             f"compressed (token) download: {token:,} bytes",
             f"hint compression: {raw_hint / token:,.1f}x",
-            f"one-time key upload: {enc_key.wire_bytes():,} bytes",
+            f"per-token key upload: {enc_key.wire_bytes():,} bytes",
+            f"a-product (once per generation): {a_product.wire_bytes():,} bytes",
         ],
     )
     assert raw_hint / token > 2

@@ -74,9 +74,10 @@ class TiptoeEngine:
             self.transport = transport
         self.ranking_service = self.services.get("ranking")
         self.url_service = self.services.get("url")
+        self._adopt_a_products()
         # Cold-start accounting: how long standing up this engine took
-        # (services, transport).  The precompute sidecar exists to
-        # shrink this number plus the first mint's NTT work.
+        # (services, transport, the a-products).  The precompute sidecar
+        # exists to shrink this number plus the first mint's NTT work.
         obs.observe("engine.cold_start_seconds", time.perf_counter() - start)
         logger.info(
             "engine up (%s): %d clusters",
@@ -214,6 +215,42 @@ class TiptoeEngine:
     def url_answer(self, query):
         return self.url_service.answer(query)
 
+    def _token_schemes(self) -> tuple[dict, dict]:
+        """The token services' schemes and hint heights, by name."""
+        schemes = {
+            "ranking": self.index.ranking_scheme,
+            "url": self.index.url_scheme,
+        }
+        rows = {
+            "ranking": self.index.ranking_prep.rows,
+            "url": self.index.url_prep.rows,
+        }
+        return schemes, rows
+
+    def _adopt_a_products(self) -> None:
+        """Fetch the token service's per-generation ``a``-products and
+        hand each to its scheme (:meth:`DoubleLheScheme.adopt_a_product`
+        checks it like a hint).
+
+        Once per index: the schemes keep what they adopted, so another
+        engine over the same index -- the same generation -- fetches
+        nothing.
+        """
+        schemes, rows = self._token_schemes()
+        if all(s.held_a_product is not None for s in schemes.values()):
+            return
+        body = RpcChannel(TrafficLog(), self.transport).call(
+            "token", "token", "a_products", b""
+        )
+        products = wire.decode_a_products(body)
+        for name, scheme in schemes.items():
+            try:
+                scheme.adopt_a_product(products[name], rows[name])
+            except (KeyError, ValueError) as exc:
+                raise ValueError(
+                    f"a-product for service {name!r} rejected: {exc}"
+                ) from None
+
     def mint_token(self, rng: np.random.Generator | None = None) -> QueryToken:
         """One token: :meth:`mint_tokens` of one."""
         return self.mint_tokens(1, rng)[0]
@@ -232,18 +269,13 @@ class TiptoeEngine:
         mint.  Each token's byte counts are the framed lengths of its
         own single-mint request and response encodings.  Every returned
         hint is checked against its service's scheme and hint height
-        (:meth:`DoubleLheScheme.check_hint`) before it is decrypted.
+        (:meth:`DoubleLheScheme.check_hint`) before it is decrypted; a
+        hint minted for another generation than the held ``a``-product
+        raises :class:`~repro.homenc.GenerationMismatchError`.
         """
         if count < 1:
             raise ValueError("must mint at least one token")
-        schemes = {
-            "ranking": self.index.ranking_scheme,
-            "url": self.index.url_scheme,
-        }
-        rows = {
-            "ranking": self.index.ranking_prep.rows,
-            "url": self.index.url_prep.rows,
-        }
+        schemes, rows = self._token_schemes()
         with obs.span("token.acquire", services=len(schemes), clients=count):
             keysets, requests = [], []
             for _ in range(count):

@@ -38,9 +38,11 @@ class TokenMintService(Service):
     """The query-token mint (SS6.3).
 
     ``mint_many`` takes a batch of clients' outer-encrypted inner keys
-    and returns the double-layer hint products in one hint pass (the
-    NTTs amortize); ``mint`` is its batch of one.  Nothing here depends
-    on any future query.
+    and returns the ``b`` halves of the double-layer hint products in
+    one hint pass (the NTTs amortize); ``mint`` is its batch of one.
+    ``a_products`` returns the ``a`` halves every token shares, the
+    same bytes for every client of this index generation.  Nothing
+    here depends on any future query.
     """
 
     service_name = "token"
@@ -51,6 +53,12 @@ class TokenMintService(Service):
     def register_endpoint(self, endpoint: ServiceEndpoint) -> None:
         endpoint.register("mint", self._handle_mint)
         endpoint.register("mint_many", self._handle_mint_many)
+        endpoint.register("a_products", self._handle_a_products)
+
+    def _handle_a_products(self, payload: bytes) -> bytes:
+        if payload:
+            raise ValueError("a_products takes an empty request")
+        return wire.encode_a_products(self.token_factory.a_products())
 
     def _handle_mint(self, payload: bytes) -> bytes:
         enc_keys = wire.decode_mint_request(payload)

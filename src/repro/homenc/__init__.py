@@ -9,21 +9,25 @@ evaluation off the latency-critical path.
 """
 
 from repro.homenc.double import (
+    AProduct,
     ClientKeys,
     CompressedHint,
     DoubleLheParams,
     DoubleLheScheme,
     EncryptedKey,
+    GenerationMismatchError,
     PreprocessedMatrix,
 )
 from repro.homenc.token import QueryToken, TokenFactory, TokenReuseError
 
 __all__ = [
+    "AProduct",
     "ClientKeys",
     "CompressedHint",
     "DoubleLheParams",
     "DoubleLheScheme",
     "EncryptedKey",
+    "GenerationMismatchError",
     "PreprocessedMatrix",
     "QueryToken",
     "TokenFactory",

@@ -8,15 +8,21 @@ its inner secret key, and the server computes the hint-secret product
 ``H s`` *under the outer encryption*:
 
 1. the client sends ``Enc2`` ciphertexts of each inner-secret
-   component ``s_i`` (the ``z_i`` of Appendix A.2) -- their ``b``
-   halves plus one public seed the uniform ``a`` halves expand from;
+   component ``s_i`` (the ``z_i`` of Appendix A.2) -- only their ``b``
+   halves: the uniform ``a`` halves are the scheme's public outer
+   ``A``, one ring element ``A_i`` per inner-secret index, expanded
+   from a hash of the public ``a_seed`` (:attr:`DoubleLheScheme.outer_a`);
 2. the server, per chunk of ``n_outer`` hint rows, evaluates
    ``sum_i C_i(x) * z_i`` where ``C_i`` is the plaintext polynomial
    whose r-th coefficient is ``H[r, i]`` -- because each ``z_i``
    encrypts a *constant*, coefficient r of the sum is exactly
-   ``sum_i H[r, i] s_i``, row r of ``H s``;
-3. the client decrypts the few compact outer ciphertexts instead of
-   downloading ``H``.
+   ``sum_i H[r, i] s_i``, row r of ``H s``.  Its ``a`` half,
+   ``sum_i C_i * A_i``, is the same for every client: the server
+   computes it once per index generation (:class:`AProduct`), and each
+   token carries only the ``b`` halves;
+3. the client decrypts the few compact outer ciphertexts, pairing each
+   token's ``b`` halves with the ``a``-product it fetched once,
+   instead of downloading ``H``.
 
 Two paper optimizations are folded in:
 
@@ -37,7 +43,10 @@ evaluated ciphertexts, no hint download).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+import struct
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -46,10 +55,31 @@ from repro.lwe import modular, sampling
 from repro.lwe.params import LweParams
 from repro.lwe.regev import Ciphertext, RegevScheme, SecretKey
 from repro.obs import runtime as _obs
-from repro.rlwe.bfv import BfvCiphertext, BfvParams, BfvScheme, BfvSecretKey
+from repro.rlwe.bfv import (
+    RESIDUE_BYTES,
+    BfvCiphertext,
+    BfvParams,
+    BfvScheme,
+    BfvSecretKey,
+)
 
 #: Default modulus-switch target: the largest prime below 2^32.
 DEFAULT_SWITCH_MODULUS = 4294967291
+
+#: Domain separator of the outer ``A``'s seed: a hash of the public
+#: ``a_seed`` under this tag, never the seed the inner Regev ``A``
+#: expands from.
+OUTER_A_DOMAIN = b"repro/outer-a/v1"
+
+#: Bytes of the digest that pairs a token's ``b`` halves with the
+#: :class:`AProduct` they were minted against.
+A_DIGEST_BYTES = 8
+
+
+class GenerationMismatchError(ValueError):
+    """A hint was minted against another ``a``-product than the one the
+    client holds -- another index generation's; pairing the two would
+    decrypt into a silently wrong hint product."""
 
 
 @dataclass(frozen=True)
@@ -64,6 +94,11 @@ class DoubleLheParams:
     switch_modulus: int = DEFAULT_SWITCH_MODULUS
 
     def __post_init__(self) -> None:
+        if self.outer_prime_bits > 8 * RESIDUE_BYTES:
+            raise ValueError(
+                f"outer residues travel as u32: outer_prime_bits"
+                f" {self.outer_prime_bits} exceeds {8 * RESIDUE_BYTES}"
+            )
         if self.switch_modulus >= 1 << 32:
             raise ValueError("switch modulus must be below 2^32")
         if self.switch_modulus % 2 == 0:
@@ -87,39 +122,72 @@ class ClientKeys:
     outer: BfvSecretKey
 
 
-#: Length of the public seed that ``z_a`` is expanded from.
-KEY_SEED_BYTES = 32
-
-
 @dataclass(frozen=True)
 class EncryptedKey:
     """The outer encryption of the inner secret (the ``z_i`` vectors).
 
     ``z_b`` is the stacked NTT-domain ``b`` half, shape ``(n_inner, k,
     n_outer)``, so the server's evaluation is a batched pointwise
-    product.  The uniform ``a`` half is never sent: both sides expand it
-    from the public ``a_seed`` (SimplePIR's seed compression, applied
-    to the outer layer), which halves the ahead-of-time upload of SS6.3.
-    It is query-independent and reusable across services.
+    product.  The uniform ``a`` half is the scheme's public
+    :attr:`DoubleLheScheme.outer_a` and is never sent (SimplePIR's
+    public-matrix reuse, applied to the outer layer), which halves the
+    ahead-of-time upload of SS6.3.  It is query-independent and
+    reusable across services.
     """
 
     z_b: np.ndarray
-    a_seed: bytes
 
     def wire_bytes(self) -> int:
-        """Seed plus ``z_b`` words: the encoding minus its fixed header."""
-        return len(self.a_seed) + self.z_b.size * 8
+        """``z_b`` words: the encoding minus its fixed header."""
+        return self.z_b.size * RESIDUE_BYTES
+
+
+def _stack_digest(words: np.ndarray, rows: int) -> bytes:
+    """:data:`A_DIGEST_BYTES` naming a residue stack and its row count."""
+    h = hashlib.blake2b(digest_size=A_DIGEST_BYTES)
+    h.update(struct.pack("<I", rows))
+    h.update(np.ascontiguousarray(words, dtype="<u4").tobytes())
+    return h.digest()
+
+
+@dataclass(frozen=True)
+class AProduct:
+    """The ``a`` halves of every token's hint ciphertexts.
+
+    Chunk j is ``sum_i C_i * A_i`` over chunk j's plaintext
+    polynomials: shape ``(n_chunks, k, n_outer)``, NTT domain.  It
+    depends on the public ``A`` and the switched hint only, so the
+    server computes it once per index generation and every client
+    fetches it once.  ``digest`` names it; each minted hint carries the
+    digest of the product it pairs with.
+    """
+
+    words: np.ndarray
+    rows: int
+
+    @cached_property
+    def digest(self) -> bytes:
+        return _stack_digest(self.words, self.rows)
+
+    def wire_bytes(self) -> int:
+        return self.words.size * RESIDUE_BYTES
 
 
 @dataclass(frozen=True)
 class CompressedHint:
-    """Outer ciphertexts encrypting ``H s``, one per n_outer hint rows."""
+    """The ``b`` halves of the outer ciphertexts encrypting ``H s``.
 
-    chunks: tuple[BfvCiphertext, ...]
+    ``b`` has one ``(k, n_outer)`` NTT-domain element per n_outer hint
+    rows, shape ``(n_chunks, k, n_outer)``; the matching ``a`` halves
+    are the :class:`AProduct` whose digest is ``a_digest``.
+    """
+
+    b: np.ndarray
     rows: int
+    a_digest: bytes
 
     def wire_bytes(self) -> int:
-        return sum(c.wire_bytes() for c in self.chunks)
+        return self.b.size * RESIDUE_BYTES
 
 
 @dataclass(frozen=True)
@@ -195,6 +263,9 @@ class DoubleLheScheme:
             a_seed=a_seed if a_seed is not None else sampling.random_seed(),
         )
         self.outer = BfvScheme(params.outer_params())
+        #: The server's ``a``-product a client adopted for this scheme's
+        #: service (:meth:`adopt_a_product`); ``None`` until then.
+        self.held_a_product: AProduct | None = None
         p_max = max(self.outer.params.primes)
         limb_max = max((1 << LIMB_BITS) - 1, (p_max - 1) >> LIMB_BITS)
         if params.inner.n * (p_max - 1) * limb_max >= 1 << 64:
@@ -211,27 +282,59 @@ class DoubleLheScheme:
             inner=self.inner.gen_secret(rng), outer=self.outer.gen_secret(rng)
         )
 
+    @cached_property
+    def outer_a(self) -> np.ndarray:
+        """The public outer ``A``: one uniform NTT-domain ring element
+        ``A_i`` per inner-secret index, shape ``(n_inner, k, n_outer)``.
+
+        Expanded once, from a hash of the public ``a_seed`` under
+        :data:`OUTER_A_DOMAIN`, so the server picks a seed and never
+        ``A`` itself -- the trust the inner Regev ``A`` already gets.
+        Read-only: every key and ``a``-product of this scheme uses it.
+        """
+        seed = hashlib.sha256(OUTER_A_DOMAIN + self.inner.a_seed).digest()
+        a = self.outer.ring.expand_uniform(seed, self.params.inner.n)
+        a.flags.writeable = False
+        return a
+
     def encrypt_key(
         self, keys: ClientKeys, rng: np.random.Generator | None = None
     ) -> EncryptedKey:
         """Encrypt every inner-secret component under the outer scheme.
 
-        One stacked encryption of all ``n_inner`` constants; the seed
-        of their ``a`` halves is public randomness drawn fresh from
-        ``rng`` for every key.
+        One stacked encryption of all ``n_inner`` constants, component
+        i under ``A_i`` of :attr:`outer_a`; the outer secret of
+        ``keys`` is fresh per token, so keys never share a secret.
         """
-        rng = sampling.resolve_rng(rng)
-        a_seed = rng.bytes(KEY_SEED_BYTES)
         z_b = self.outer.encrypt_constants(
-            keys.outer, keys.inner.signed(), a_seed, rng
+            keys.outer, keys.inner.signed(), self.outer_a, rng
         )
-        return EncryptedKey(z_b=z_b, a_seed=a_seed)
+        return EncryptedKey(z_b=z_b)
 
-    def expand_z_a(self, enc_key: EncryptedKey) -> np.ndarray:
-        """The NTT-domain ``a`` halves of ``enc_key``, from its seed."""
-        return self.outer.ring.expand_uniform(
-            enc_key.a_seed, self.params.inner.n
-        )
+    def _check_residues(
+        self, words: np.ndarray, want: tuple, what: str
+    ) -> None:
+        """Reject a residue stack of the wrong shape or dtype, or with a
+        residue >= its RNS prime; its last two axes are ``(k, n)``."""
+        if words.shape != want or words.dtype != np.uint64:
+            raise ValueError(
+                f"{what} is {words.dtype} {words.shape}, expected uint64"
+                f" {want}"
+            )
+        if not (words < self.outer.ring.prime_column).all():
+            raise ValueError(
+                f"{what} has residues outside [0, p) for its RNS prime"
+            )
+
+    def _hint_shape(self, declared: int, rows: int, what: str) -> tuple:
+        """The ``(n_chunks, k, n)`` shape of a ``rows``-row hint stack;
+        a stack declaring other than ``rows`` rows is refused."""
+        if declared != rows:
+            raise ValueError(
+                f"{what} declares {declared} rows, expected {rows}"
+            )
+        ring = self.outer.ring
+        return (-(-rows // ring.n), ring.k, ring.n)
 
     def check_key(self, enc_key: EncryptedKey) -> None:
         """Reject an encrypted key this scheme cannot evaluate.
@@ -241,23 +344,11 @@ class DoubleLheScheme:
         accumulation bound of :func:`_key_products`.
         """
         ring = self.outer.ring
-        want = (self.params.inner.n, ring.k, ring.n)
-        z_b = enc_key.z_b
-        if z_b.shape != want or z_b.dtype != np.uint64:
-            raise ValueError(
-                f"encrypted key z_b is {z_b.dtype} {z_b.shape},"
-                f" expected uint64 {want}"
-            )
-        if len(enc_key.a_seed) != KEY_SEED_BYTES:
-            raise ValueError(
-                f"encrypted key seed is {len(enc_key.a_seed)} bytes,"
-                f" expected {KEY_SEED_BYTES}"
-            )
-        if not (z_b < ring.prime_column).all():
-            raise ValueError(
-                "encrypted key z_b has residues outside [0, p) for its"
-                " RNS prime"
-            )
+        self._check_residues(
+            enc_key.z_b,
+            (self.params.inner.n, ring.k, ring.n),
+            "encrypted key z_b",
+        )
 
     def check_hint(self, compressed: CompressedHint, rows: int) -> None:
         """Reject a compressed hint this scheme cannot decrypt.
@@ -265,33 +356,28 @@ class DoubleLheScheme:
         Hints arrive from the server: a wrong row count or chunk shape
         would decrypt into misplaced rows, and residues >= p would
         overflow the uint64 ``a*s`` of decryption into a silently wrong
-        hint product.  ``rows`` is the service's hint height.
+        hint product.  ``rows`` is the service's hint height.  Which
+        ``a``-product the hint pairs with is checked on decryption.
         """
-        if compressed.rows != rows:
-            raise ValueError(
-                f"compressed hint declares {compressed.rows} rows,"
-                f" expected {rows}"
-            )
-        ring = self.outer.ring
-        want_chunks = -(-rows // ring.n)
-        if len(compressed.chunks) != want_chunks:
-            raise ValueError(
-                f"compressed hint has {len(compressed.chunks)} chunks,"
-                f" expected {want_chunks} for {rows} rows"
-            )
-        want = (ring.k, ring.n)
-        for i, chunk in enumerate(compressed.chunks):
-            for half, words in (("b", chunk.b), ("a", chunk.a)):
-                if words.shape != want or words.dtype != np.uint64:
-                    raise ValueError(
-                        f"compressed hint chunk {i} {half} is {words.dtype}"
-                        f" {words.shape}, expected uint64 {want}"
-                    )
-                if not (words < ring.prime_column).all():
-                    raise ValueError(
-                        f"compressed hint chunk {i} {half} has residues"
-                        " outside [0, p) for its RNS prime"
-                    )
+        want = self._hint_shape(compressed.rows, rows, "compressed hint")
+        self._check_residues(compressed.b, want, "compressed hint b")
+
+    def check_a_product(self, a_product: AProduct, rows: int) -> None:
+        """Reject an ``a``-product this scheme cannot pair with hints:
+        the same shape and residue checks as :meth:`check_hint`."""
+        want = self._hint_shape(a_product.rows, rows, "a-product")
+        self._check_residues(a_product.words, want, "a-product")
+
+    def adopt_a_product(self, a_product: AProduct, rows: int) -> None:
+        """Check the server's ``a``-product and keep it for decryption.
+
+        A client does this once per index generation; ``rows`` is the
+        service's hint height.  The digest of what it holds is computed
+        here, from the words, never taken from the server.
+        """
+        self.check_a_product(a_product, rows)
+        _ = a_product.digest
+        self.held_a_product = a_product
 
     # -- server-side preprocessing ---------------------------------------------
 
@@ -361,55 +447,80 @@ class DoubleLheScheme:
             hint_ntt=self.hint_ntt_table(prep),
         )
 
+    def _key_product_stack(
+        self, zs: Sequence[np.ndarray], prep: PreprocessedMatrix
+    ) -> np.ndarray:
+        """``sum_i C_i * z[i]`` for each ``z`` of ``zs``, every chunk:
+        shape ``(len(zs), n_chunks, k, n_outer)``.
+
+        The plaintext polynomials ``C_i`` -- and their forward NTTs, the
+        dominant per-chunk cost -- depend only on the hint block, so
+        they are computed (or read from the sidecar table) once per
+        chunk for all of ``zs``.
+        """
+        ring = self.outer.ring
+        starts = range(0, prep.rows, self.params.outer_n)
+        out = np.empty((len(zs), len(starts), ring.k, ring.n), np.uint64)
+        for idx, start in enumerate(starts):
+            # Kernel timer: the BFV homomorphic evaluation (one outer
+            # ciphertext half per chunk and key) is the token path's
+            # hot loop.
+            with _obs.kernel_timer("bfv.apply"):
+                c_ntts = self._chunk_c_ntts(prep, idx, start)
+                out[:, idx] = _key_products(zs, c_ntts, ring.prime_column)
+        return out
+
+    def a_product(
+        self, prep: PreprocessedMatrix, outer_a: np.ndarray | None = None
+    ) -> AProduct:
+        """The ``a`` halves of every hint minted over ``prep``.
+
+        One key-product pass over the public ``A`` -- this scheme's
+        :attr:`outer_a` unless ``outer_a`` is given: a key shared by
+        several services (:func:`repro.homenc.token.make_client_keys`)
+        is encrypted under one of their ``A``s, and the token factory
+        passes that one.
+        """
+        a = self.outer_a if outer_a is None else outer_a
+        words = self._key_product_stack([a], prep)[0]
+        return AProduct(words=words, rows=prep.rows)
+
     def evaluate_hint(
-        self, enc_key: EncryptedKey, prep: PreprocessedMatrix
+        self,
+        enc_key: EncryptedKey,
+        prep: PreprocessedMatrix,
+        a_product: AProduct,
     ) -> CompressedHint:
         """``Enc2(H' s)`` for one client: a batch of one."""
-        return self.evaluate_hint_batch([enc_key], prep)[0]
+        return self.evaluate_hint_batch([enc_key], prep, a_product)[0]
 
     def evaluate_hint_batch(
         self,
         enc_keys: Sequence[EncryptedKey],
         prep: PreprocessedMatrix,
+        a_product: AProduct,
     ) -> list[CompressedHint]:
-        """Compute ``Enc2(H' s)`` per client -- decryption outsourced
-        to the server, for several clients in one hint pass.
+        """Compute the ``b`` halves of ``Enc2(H' s)`` per client --
+        decryption outsourced to the server, for several clients in one
+        hint pass.
 
-        Runs once per client key per matrix, entirely offline.  Each
-        chunk of ``n_outer`` hint rows yields one outer ciphertext per
-        client.  The plaintext polynomials ``C_i`` -- and their forward
-        NTTs, the dominant per-chunk cost -- depend only on the hint
-        block, not on any client, so they are computed once per chunk
-        and reused across the batch.  Each client's pointwise products
-        run against that client's own encrypted key: per-client outer
-        keys never mix.  Each key's ``z_a`` is expanded from its seed
-        once, before the chunk loop.
+        Runs once per client key per matrix, entirely offline: one
+        key-product pass per client, over its ``z_b``.  The ``a``
+        halves are the same for every client; ``a_product`` is them
+        (:meth:`a_product`, computed once per generation), and each
+        hint carries its digest.  Per-client outer keys never mix.
         """
+        if a_product.rows != prep.rows:
+            raise ValueError(
+                f"a-product covers {a_product.rows} rows, the hint"
+                f" {prep.rows}"
+            )
         if not enc_keys:
             return []
-        n_outer = self.params.outer_n
-        # Each client's b and a halves, expanded from its seed once.
-        halves = [
-            z for key in enc_keys for z in (key.z_b, self.expand_z_a(key))
-        ]
-        per_client: list[list[BfvCiphertext]] = [[] for _ in enc_keys]
-        for idx, start in enumerate(range(0, prep.rows, n_outer)):
-            # Kernel timer: the BFV homomorphic evaluation (one outer
-            # ciphertext per chunk and client) is the token path's hot
-            # loop.
-            with _obs.kernel_timer("bfv.apply"):
-                # Shared across the batch: one NTT per RNS prime --
-                # precomputed when the sidecar table is loaded.
-                c_ntts = self._chunk_c_ntts(prep, idx, start)
-                words = _key_products(
-                    halves, c_ntts, self.outer.ring.prime_column
-                )
-                for client, chunks in enumerate(per_client):
-                    b, a = words[2 * client : 2 * client + 2]
-                    chunks.append(BfvCiphertext(b=b, a=a))
+        stacks = self._key_product_stack([key.z_b for key in enc_keys], prep)
         return [
-            CompressedHint(chunks=tuple(chunks), rows=prep.rows)
-            for chunks in per_client
+            CompressedHint(b=b, rows=prep.rows, a_digest=a_product.digest)
+            for b in stacks
         ]
 
     # -- client-side recovery ---------------------------------------------------
@@ -417,9 +528,27 @@ class DoubleLheScheme:
     def decrypt_hint_product(
         self, keys: ClientKeys, compressed: CompressedHint
     ) -> np.ndarray:
-        """Recover ``H' s mod T`` (one value per hint row)."""
+        """Recover ``H' s mod T`` (one value per hint row).
+
+        Pairs the hint's ``b`` halves with the held ``a``-product
+        (:meth:`adopt_a_product`); a hint minted against another one
+        raises :class:`GenerationMismatchError`.
+        """
+        held = self.held_a_product
+        if held is None:
+            raise ValueError(
+                "no a-product held: adopt the token service's before"
+                " decrypting a hint"
+            )
+        if compressed.a_digest != held.digest:
+            raise GenerationMismatchError(
+                f"hint was minted against a-product"
+                f" {compressed.a_digest.hex()}, this client holds"
+                f" {held.digest.hex()}: another index generation's"
+            )
         pieces = [
-            self.outer.decrypt(keys.outer, chunk) for chunk in compressed.chunks
+            self.outer.decrypt(keys.outer, BfvCiphertext(b=b, a=a))
+            for b, a in zip(compressed.b, held.words)
         ]
         flat = np.concatenate(pieces)[: compressed.rows]
         return flat.astype(np.uint64)
@@ -500,12 +629,13 @@ class DoubleLheScheme:
     # -- cost accounting -----------------------------------------------------------
 
     def compressed_hint_bytes(self, rows: int) -> int:
-        """Wire size of the evaluated outer ciphertexts for l hint rows."""
+        """Wire size of one token's hint for l hint rows: one RNS ring
+        element (a ``b`` half) per chunk."""
         n_chunks = -(-rows // self.params.outer_n)
-        return n_chunks * self.outer.params.ciphertext_bytes()
+        return n_chunks * self.outer.params.ciphertext_bytes() // 2
 
     def key_upload_bytes(self) -> int:
-        """Wire size of the one-time encrypted-key upload: the seed plus
-        one RNS ring element (``z_b``) per inner-secret component."""
+        """Wire size of the per-token encrypted-key upload: one RNS ring
+        element (``z_b``) per inner-secret component."""
         per_b = self.outer.params.ciphertext_bytes() // 2
-        return KEY_SEED_BYTES + self.params.inner.n * per_b
+        return self.params.inner.n * per_b

@@ -12,6 +12,11 @@ Appendix A.3's shared-key optimization is also implemented here: the
 ranking and URL services can share one inner ternary secret (and hence
 one encrypted-key upload) when their inner lattice dimensions agree,
 which halves the ahead-of-time upload.
+
+The ``a`` halves of every token's hint ciphertexts are the same for
+all clients: :meth:`TokenFactory.a_products` computes them once per
+index generation, clients fetch them once, and each token carries only
+``b`` halves.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.homenc.double import (
+    AProduct,
     ClientKeys,
     CompressedHint,
     DoubleLheScheme,
@@ -96,11 +102,36 @@ class QueryToken:
         return self.keys, self.hint_products
 
 
+def key_groups(schemes: dict[str, DoubleLheScheme]) -> list[list[str]]:
+    """Service names that share one encrypted-key upload.
+
+    Services whose inner lattice dimension, switch modulus and outer
+    ring agree share one inner secret, one outer key and one upload
+    (Appendix A.3).  Each group is sorted by name; its first scheme's
+    :attr:`~DoubleLheScheme.outer_a` is the ``A`` the shared key is
+    encrypted under, on the client and in the server's ``a``-products.
+    """
+    groups: dict[tuple, list[str]] = {}
+    for name in sorted(schemes):
+        params = schemes[name].params
+        sig = (
+            params.inner.n,
+            params.switch_modulus,
+            params.outer_n,
+            params.outer_prime_bits,
+            params.outer_num_primes,
+        )
+        groups.setdefault(sig, []).append(name)
+    return list(groups.values())
+
+
 class TokenFactory:
     """Server-side token minting over a set of registered services."""
 
     def __init__(self) -> None:
         self._services: dict[str, ServiceCrypto] = {}
+        self._lock = threading.Lock()
+        self._a_products: dict[str, AProduct] | None = None  # guarded-by: _lock
 
     def register(
         self, name: str, scheme: DoubleLheScheme, prep: PreprocessedMatrix
@@ -108,6 +139,30 @@ class TokenFactory:
         if name in self._services:
             raise ValueError(f"service {name!r} already registered")
         self._services[name] = ServiceCrypto(scheme=scheme, prep=prep)
+        with self._lock:
+            self._a_products = None
+
+    def a_products(self) -> dict[str, AProduct]:
+        """Every service's ``a``-product: the ``a`` halves of all the
+        hints this factory mints, one key-product pass per service over
+        the public ``A`` of its key group (:func:`key_groups`).
+
+        Computed on the first call -- by whichever request comes first
+        -- and kept: it changes only with the index generation.
+        """
+        with self._lock:
+            if self._a_products is None:
+                schemes = {n: svc.scheme for n, svc in self._services.items()}
+                products = {}
+                for names in key_groups(schemes):
+                    outer_a = schemes[names[0]].outer_a
+                    for name in names:
+                        svc = self._services[name]
+                        products[name] = svc.scheme.a_product(
+                            svc.prep, outer_a
+                        )
+                self._a_products = products
+            return self._a_products
 
     @property
     def service_names(self) -> tuple[str, ...]:
@@ -131,10 +186,13 @@ class TokenFactory:
         :class:`EncryptedKey` object, uploaded once.  The K clients go
         through :meth:`DoubleLheScheme.evaluate_hint_batch` together,
         so each service's plaintext-side forward NTTs run once per
-        chunk for the whole batch instead of once per client.
+        chunk for the whole batch instead of once per client.  Each
+        client costs one key-product pass per service; the shared ``a``
+        halves come from :meth:`a_products`.
 
         Every key is checked against its service's scheme first
-        (:meth:`DoubleLheScheme.check_key`); a malformed one raises
+        (:meth:`DoubleLheScheme.check_key`); a malformed one, a missing
+        service or a service this factory does not serve raises
         ``ValueError`` naming the client and service.
         """
         for i, enc_keys in enumerate(enc_keys_list):
@@ -142,7 +200,13 @@ class TokenFactory:
             if missing:
                 raise ValueError(
                     f"client {i}: missing encrypted keys for services"
-                    f" {missing}"
+                    f" {sorted(missing)}"
+                )
+            unserved = set(enc_keys) - set(self._services)
+            if unserved:
+                raise ValueError(
+                    f"client {i}: encrypted keys for services"
+                    f" {sorted(unserved)} this mint does not serve"
                 )
             for name, svc in self._services.items():
                 try:
@@ -154,6 +218,7 @@ class TokenFactory:
         per_client: list[dict[str, CompressedHint]] = [
             {} for _ in enc_keys_list
         ]
+        a_products = self.a_products()
         with obs.span(
             "token.mint",
             clients=len(enc_keys_list),
@@ -167,7 +232,9 @@ class TokenFactory:
                     clients=len(enc_keys_list),
                 ):
                     hints = svc.scheme.evaluate_hint_batch(
-                        [ek[name] for ek in enc_keys_list], svc.prep
+                        [ek[name] for ek in enc_keys_list],
+                        svc.prep,
+                        a_products[name],
                     )
                 for client, hint in enumerate(hints):
                     per_client[client][name] = hint
@@ -180,29 +247,21 @@ def make_client_keys(
 ) -> tuple[dict[str, ClientKeys], dict[str, EncryptedKey], int]:
     """Generate per-service keys, sharing uploads where possible.
 
-    Services whose inner lattice dimension and switch modulus agree
-    share one inner ternary secret, one outer key, and hence one
-    encrypted-key upload (Appendix A.3).  Returns the per-service keys,
-    the per-service encrypted keys, and the total upload size in bytes
-    counting each shared upload once.
+    Each group of :func:`key_groups` shares one inner ternary secret,
+    one outer key, and hence one encrypted-key upload (Appendix A.3),
+    encrypted under the group's first scheme's public ``A``.  Returns
+    the per-service keys, the per-service encrypted keys, and the total
+    upload size in bytes counting each shared upload once.
     """
     rng = sampling.resolve_rng(rng)
     keys: dict[str, ClientKeys] = {}
     enc_keys: dict[str, EncryptedKey] = {}
     upload_bytes = 0
-    groups: dict[tuple, list[str]] = {}
-    for name, scheme in schemes.items():
-        sig = (
-            scheme.params.inner.n,
-            scheme.params.switch_modulus,
-            scheme.params.outer_n,
-            scheme.params.outer_prime_bits,
-            scheme.params.outer_num_primes,
-        )
-        groups.setdefault(sig, []).append(name)
-    for (n_inner, *_), names in groups.items():
-        shared_signed = sampling.ternary_secret_signed(rng, n_inner)
+    for names in key_groups(schemes):
         leader = schemes[names[0]]
+        shared_signed = sampling.ternary_secret_signed(
+            rng, leader.params.inner.n
+        )
         outer_sk = leader.outer.gen_secret(rng)
         shared_keys = {}
         for name in names:
@@ -213,7 +272,8 @@ def make_client_keys(
             )
             shared_keys[name] = ClientKeys(inner=inner_sk, outer=outer_sk)
         # One encrypted-key upload serves the whole group: the inner
-        # secret and outer key coincide, and z_i depends on nothing else.
+        # secret, the outer key and the leader's public A are all that
+        # z_i depends on.
         enc = leader.encrypt_key(shared_keys[names[0]], rng)
         upload_bytes += enc.wire_bytes()
         for name in names:
@@ -230,10 +290,13 @@ def request_token(
     """Full client-side token acquisition: keygen, upload, decrypt.
 
     This is the ahead-of-time phase of SS6.3; nothing here depends on
-    the eventual query string.
+    the eventual query string.  The schemes adopt the factory's
+    ``a``-products first, as a client does once per generation.
     """
+    for name, a_product in factory.a_products().items():
+        schemes[name].adopt_a_product(a_product, factory.service(name).prep.rows)
     keys, enc_keys, upload_bytes = make_client_keys(schemes, rng)
-    # tiptoe-lint: disable=itaint-raise -- mint()'s error paths embed only service *names* and a rejected key's shape, dtype and seed length (public configuration), never the encrypted key material
+    # tiptoe-lint: disable=itaint-raise -- mint()'s error paths embed only service *names* and a rejected key's shape and dtype (public configuration), never the encrypted key material
     payload = factory.mint(enc_keys)
     hint_products = {
         name: schemes[name].decrypt_hint_product(keys[name], payload.hints[name])

@@ -10,7 +10,11 @@ protocol version:
 
 * ciphertext vectors: [u8 q_bits][u32 length][length words]
 * PIR / ranking answers: same layout
-* RLWE ciphertexts: [u16 k][u32 n][k*n u64 b][k*n u64 a]
+* RLWE ciphertexts: [u16 k][u32 n][k*n u32 b][k*n u32 a]
+
+Outer (RLWE) residues are below their < 2^31 NTT primes, so they
+travel as u32: encoders narrow once, decoders widen once into the
+uint64 arrays the kernels use.
 
 Every decoder validates declared lengths against the actual payload
 *before* touching ``np.frombuffer`` and raises a ``ValueError`` that
@@ -23,6 +27,7 @@ into the network buffer.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -34,6 +39,9 @@ from repro.rlwe.bfv import BfvCiphertext
 
 _HEADER = struct.Struct("<BI")
 _RLWE_HEADER = struct.Struct("<HI")
+
+#: Outer residues on the wire (``repro.rlwe.bfv.RESIDUE_BYTES`` each).
+_RESIDUE = np.dtype("<u4")
 
 
 def _require_header(blob: bytes, header: struct.Struct, what: str) -> None:
@@ -196,25 +204,43 @@ def decode_matrix(blob: bytes) -> tuple[np.ndarray, int]:
     return values.reshape(rows, cols).copy(), q_bits
 
 
-def encode_rlwe(ct: BfvCiphertext) -> bytes:
+def _put_residues(out: bytearray, offset: int, words: np.ndarray) -> None:
+    """Narrow uint64 residues (< 2^32) into ``out`` at ``offset``."""
+    np.frombuffer(out, dtype=_RESIDUE, offset=offset, count=words.size)[
+        ...
+    ] = words.ravel()
+
+
+def _residue_blob(header: bytes, words: np.ndarray) -> bytearray:
+    """``header`` then ``words`` as u32, written once into one buffer."""
+    out = bytearray(len(header) + words.size * _RESIDUE.itemsize)
+    out[: len(header)] = header
+    _put_residues(out, len(header), words)
+    return out
+
+
+def _get_residues(
+    blob: bytes, offset: int, shape: tuple[int, ...], what: str
+) -> np.ndarray:
+    """Widen the u32 residues of a ``shape`` stack at ``offset`` into a
+    fresh uint64 array; the stack must end the payload exactly."""
+    count = math.prod(shape)
+    _require_words(blob, offset, count, _RESIDUE.itemsize, what)
+    _require_end(blob, offset + count * _RESIDUE.itemsize, what)
+    words = np.frombuffer(blob, dtype=_RESIDUE, offset=offset, count=count)
+    return words.astype(np.uint64).reshape(shape)
+
+
+def encode_rlwe(ct: BfvCiphertext) -> bytearray:
     """Serialize an outer-layer (RLWE) ciphertext in RNS form."""
     k, n = ct.b.shape
-    return (
-        _RLWE_HEADER.pack(k, n)
-        + np.ascontiguousarray(ct.b, dtype=np.uint64).tobytes()
-        + np.ascontiguousarray(ct.a, dtype=np.uint64).tobytes()
-    )
+    return _residue_blob(_RLWE_HEADER.pack(k, n), np.stack([ct.b, ct.a]))
 
 
 def decode_rlwe(blob: bytes) -> BfvCiphertext:
     _require_header(blob, _RLWE_HEADER, "RLWE ciphertext")
     k, n = _RLWE_HEADER.unpack_from(blob)
-    _require_words(blob, _RLWE_HEADER.size, 2 * k * n, 8, "RLWE ciphertext")
-    words = np.frombuffer(
-        blob, dtype=np.uint64, offset=_RLWE_HEADER.size, count=2 * k * n
-    )
-    b = words[: k * n].reshape(k, n).copy()
-    a = words[k * n :].reshape(k, n).copy()
+    b, a = _get_residues(blob, _RLWE_HEADER.size, (2, k, n), "RLWE ciphertext")
     return BfvCiphertext(b=b, a=a)
 
 
@@ -223,7 +249,10 @@ HEADER_BYTES = _HEADER.size
 RLWE_HEADER_BYTES = _RLWE_HEADER.size
 
 _KEY_HEADER = struct.Struct("<III")
-_HINT_HEADER = struct.Struct("<II")
+#: ``[u32 chunks][u32 rows][u16 k][u32 n]`` of a stack of chunk residues.
+_STACK_HEADER = struct.Struct("<IIHI")
+#: A hint adds the 8-byte digest of the a-product it pairs with.
+_HINT_HEADER = struct.Struct("<IIHI8s")
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
@@ -292,31 +321,44 @@ def encode_mint_request(enc_keys: dict) -> bytes:
 
 
 def decode_mint_request(blob: bytes) -> dict:
+    """Decode a mint request: every key is referenced by exactly the
+    services that name it, each service is named once, and nothing
+    follows the service map.  Keys are decoded only after the map has
+    been checked -- an unreferenced upload is refused, never decoded."""
     _require_header(blob, _U16, "mint request")
     (num_unique,) = _U16.unpack_from(blob)
     pos = _U16.size
-    unique = []
+    uploads = []
     for _ in range(num_unique):
         data, pos = _unpack_blob(blob, pos)
-        unique.append(decode_encrypted_key(data))
+        uploads.append(data)
     if len(blob) - pos < _U16.size:
         raise ValueError("mint request: truncated service count")
     (num_services,) = _U16.unpack_from(blob, pos)
     pos += _U16.size
-    out = {}
+    refs: dict[str, int] = {}
     for _ in range(num_services):
         name, pos = _unpack_str(blob, pos)
         if len(blob) - pos < _U16.size:
             raise ValueError("mint request: truncated key index")
         (idx,) = _U16.unpack_from(blob, pos)
         pos += _U16.size
-        if idx >= len(unique):
+        if name in refs:
+            raise ValueError(f"mint request: service {name!r} listed twice")
+        if idx >= len(uploads):
             raise ValueError(
                 f"mint request: service {name!r} references key {idx},"
-                f" but only {len(unique)} keys are present"
+                f" but only {len(uploads)} keys are present"
             )
-        out[name] = unique[idx]
-    return out
+        refs[name] = idx
+    _require_end(blob, pos, "mint request")
+    unused = sorted(set(range(len(uploads))) - set(refs.values()))
+    if unused:
+        raise ValueError(
+            f"mint request: keys {unused} are referenced by no service"
+        )
+    keys = [decode_encrypted_key(data) for data in uploads]
+    return {name: keys[idx] for name, idx in refs.items()}
 
 
 def _pack_many(blobs: list[bytes]) -> bytes:
@@ -368,103 +410,110 @@ def split_mint_many_payload(blob: bytes) -> list[bytes]:
     return _unpack_many(blob, "mint-many payload")
 
 
+def _pack_named(blobs: dict[str, bytes]) -> bytes:
+    """[u16 count] then per entry [u8 len][name][u32 len][blob]."""
+    parts = [_U16.pack(len(blobs))]
+    for name, data in blobs.items():
+        parts.append(_pack_str(name))
+        parts.append(_pack_blob(data))
+    return b"".join(parts)
+
+
+def _unpack_named(blob: bytes, what: str) -> dict[str, bytes]:
+    _require_header(blob, _U16, what)
+    (count,) = _U16.unpack_from(blob)
+    pos = _U16.size
+    out = {}
+    for _ in range(count):
+        name, pos = _unpack_str(blob, pos)
+        if name in out:
+            raise ValueError(f"{what}: service {name!r} listed twice")
+        out[name], pos = _unpack_blob(blob, pos)
+    _require_end(blob, pos, what)
+    return out
+
+
 def encode_token_payload(payload) -> bytes:
     """Serialize a minted token (per-service compressed hints)."""
-    parts = [_U16.pack(len(payload.hints))]
-    for name, hint in payload.hints.items():
-        parts.append(_pack_str(name))
-        parts.append(_pack_blob(encode_compressed_hint(hint)))
-    return b"".join(parts)
+    return _pack_named(
+        {
+            name: encode_compressed_hint(hint)
+            for name, hint in payload.hints.items()
+        }
+    )
 
 
 def decode_token_payload(blob: bytes):
     from repro.homenc.token import TokenPayload
 
-    _require_header(blob, _U16, "token payload")
-    (count,) = _U16.unpack_from(blob)
-    pos = _U16.size
-    hints = {}
-    for _ in range(count):
-        name, pos = _unpack_str(blob, pos)
-        data, pos = _unpack_blob(blob, pos)
-        hints[name] = decode_compressed_hint(data)
-    _require_end(blob, pos, "token payload")
-    return TokenPayload(hints=hints)
+    blobs = _unpack_named(blob, "token payload")
+    return TokenPayload(
+        hints={name: decode_compressed_hint(data) for name, data in blobs.items()}
+    )
+
+
+def encode_a_products(products: dict) -> bytes:
+    """Serialize every service's per-generation a-product (the token
+    service's ``a_products`` response)."""
+    return _pack_named(
+        {name: encode_a_product(ap) for name, ap in products.items()}
+    )
+
+
+def decode_a_products(blob: bytes) -> dict:
+    blobs = _unpack_named(blob, "a-products")
+    return {name: decode_a_product(data) for name, data in blobs.items()}
 
 
 def encode_encrypted_key(enc_key) -> bytearray:
     """Serialize the ahead-of-time encrypted-key upload (SS6.3):
-    [u32 n_inner][u32 k][u32 n_outer][32-byte seed][n_inner*k*n_outer
-    u64 z_b].
+    [u32 n_inner][u32 k][u32 n_outer][n_inner*k*n_outer u32 z_b].
 
-    ``z_b`` is written once, straight into the preallocated buffer.
+    ``z_b`` is narrowed once, straight into the preallocated buffer.
     """
-    from repro.homenc.double import KEY_SEED_BYTES
-
-    if len(enc_key.a_seed) != KEY_SEED_BYTES:
-        raise ValueError(
-            f"encrypted key seed is {len(enc_key.a_seed)} bytes,"
-            f" expected {KEY_SEED_BYTES}"
-        )
     z_b = enc_key.z_b
-    body = _KEY_HEADER.size + KEY_SEED_BYTES
-    out = bytearray(body + z_b.size * 8)
-    _KEY_HEADER.pack_into(out, 0, *z_b.shape)
-    out[_KEY_HEADER.size : body] = enc_key.a_seed
-    np.frombuffer(out, dtype=np.uint64, offset=body).reshape(z_b.shape)[...] = z_b
-    return out
+    return _residue_blob(_KEY_HEADER.pack(*z_b.shape), z_b)
 
 
 def decode_encrypted_key(blob: bytes):
-    from repro.homenc.double import KEY_SEED_BYTES, EncryptedKey
+    from repro.homenc.double import EncryptedKey
 
     _require_header(blob, _KEY_HEADER, "encrypted key")
-    n_inner, k, n_outer = _KEY_HEADER.unpack_from(blob)
-    body = _KEY_HEADER.size + KEY_SEED_BYTES
-    if len(blob) < body:
-        raise ValueError(
-            f"encrypted key: payload is {len(blob) - _KEY_HEADER.size} bytes"
-            f" after the header, expected at least {KEY_SEED_BYTES} for the"
-            " seed"
-        )
-    count = n_inner * k * n_outer
-    _require_words(blob, body, count, 8, "encrypted key")
-    if len(blob) != body + count * 8:
-        raise ValueError(
-            f"encrypted key: {len(blob) - body - count * 8} trailing bytes"
-            f" after {count} words"
-        )
-    words = np.frombuffer(blob, dtype=np.uint64, offset=body, count=count)
+    shape = _KEY_HEADER.unpack_from(blob)
     return EncryptedKey(
-        z_b=words.reshape(n_inner, k, n_outer).copy(),
-        a_seed=bytes(blob[_KEY_HEADER.size : body]),
+        z_b=_get_residues(blob, _KEY_HEADER.size, shape, "encrypted key")
     )
 
 
-def encode_compressed_hint(hint) -> bytes:
-    """Serialize one service's compressed-hint token chunk list."""
-    parts = [_HINT_HEADER.pack(len(hint.chunks), hint.rows)]
-    for chunk in hint.chunks:
-        parts.append(encode_rlwe(chunk))
-    return b"".join(parts)
+def encode_a_product(a_product) -> bytearray:
+    """Serialize one service's a-product: [u32 chunks][u32 rows][u16 k]
+    [u32 n][chunks*k*n u32 words]."""
+    chunks, k, n = a_product.words.shape
+    header = _STACK_HEADER.pack(chunks, a_product.rows, k, n)
+    return _residue_blob(header, a_product.words)
+
+
+def decode_a_product(blob: bytes):
+    from repro.homenc.double import AProduct
+
+    _require_header(blob, _STACK_HEADER, "a-product")
+    chunks, rows, k, n = _STACK_HEADER.unpack_from(blob)
+    words = _get_residues(blob, _STACK_HEADER.size, (chunks, k, n), "a-product")
+    return AProduct(words=words, rows=rows)
+
+
+def encode_compressed_hint(hint) -> bytearray:
+    """Serialize one service's hint: [u32 chunks][u32 rows][u16 k]
+    [u32 n][8-byte a-product digest][chunks*k*n u32 b halves]."""
+    chunks, k, n = hint.b.shape
+    header = _HINT_HEADER.pack(chunks, hint.rows, k, n, hint.a_digest)
+    return _residue_blob(header, hint.b)
 
 
 def decode_compressed_hint(blob: bytes):
     from repro.homenc.double import CompressedHint
 
     _require_header(blob, _HINT_HEADER, "compressed hint")
-    num_chunks, rows = _HINT_HEADER.unpack_from(blob)
-    chunks = []
-    pos = _HINT_HEADER.size
-    for i in range(num_chunks):
-        if len(blob) - pos < _RLWE_HEADER.size:
-            raise ValueError(
-                f"compressed hint: payload ends at chunk {i} of"
-                f" {num_chunks}"
-            )
-        k, n = _RLWE_HEADER.unpack_from(blob, pos)
-        size = _RLWE_HEADER.size + 2 * k * n * 8
-        chunks.append(decode_rlwe(blob[pos : pos + size]))
-        pos += size
-    _require_end(blob, pos, "compressed hint")
-    return CompressedHint(chunks=tuple(chunks), rows=rows)
+    chunks, rows, k, n, digest = _HINT_HEADER.unpack_from(blob)
+    b = _get_residues(blob, _HINT_HEADER.size, (chunks, k, n), "compressed hint")
+    return CompressedHint(b=b, rows=rows, a_digest=digest)

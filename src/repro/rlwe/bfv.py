@@ -34,6 +34,10 @@ from repro.lwe import sampling
 from repro.rlwe.ntt import NttContext, find_ntt_primes, ntt_context
 from repro.rlwe.poly import RnsContext
 
+#: Bytes per RNS residue on the wire: every NTT prime is below 2^31
+#: (:data:`repro.rlwe.ntt.MAX_PRIME_BITS`), so residues travel as u32.
+RESIDUE_BYTES = 4
+
 
 @dataclass(frozen=True)
 class BfvParams:
@@ -82,7 +86,7 @@ class BfvParams:
 
     def ciphertext_bytes(self) -> int:
         """Wire size of one ciphertext (two RNS ring elements)."""
-        return 2 * len(self.primes) * self.n * 8
+        return 2 * len(self.primes) * self.n * RESIDUE_BYTES
 
     def supports_batching(self) -> bool:
         """Whether slot batching is available for this t."""
@@ -111,7 +115,7 @@ class BfvCiphertext:
     a: np.ndarray
 
     def wire_bytes(self) -> int:
-        return (self.b.size + self.a.size) * 8
+        return (self.b.size + self.a.size) * RESIDUE_BYTES
 
 
 class BfvScheme:
@@ -209,31 +213,31 @@ class BfvScheme:
         self,
         sk: BfvSecretKey,
         values: np.ndarray,
-        a_seed: bytes,
+        a_ntt: np.ndarray,
         rng: np.random.Generator | None = None,
     ) -> np.ndarray:
         """Encrypt each of ``values`` as a constant polynomial, stacked.
 
-        Ciphertext i is ``(b[i], a[i])`` with ``a = ring.expand_uniform(
-        a_seed, len(values))`` read as NTT-domain, so only the returned
-        NTT-domain ``b`` stack, shape ``(len(values), k, n)``, and the
-        seed need to travel.  One Gaussian draw and one exact GEMM per
-        prime (:meth:`RnsContext.to_ntt_small`, the error is small and
-        signed) replace a per-value :meth:`encrypt` loop, with ``a*s``
-        and the encodings folded into the same reduction mod p.  A
-        constant's encoding is the same residue in every NTT slot, so it
-        needs no transform and is looked up once per distinct value.
+        Ciphertext i is ``(b[i], a_ntt[i])`` for a public NTT-domain
+        ``a_ntt`` of shape ``(len(values), k, n)`` that both parties
+        hold, so only the returned NTT-domain ``b`` stack, shape
+        ``(len(values), k, n)``, needs to travel.  One Gaussian draw and
+        one exact GEMM per prime (:meth:`RnsContext.to_ntt_small`, the
+        error is small and signed) replace a per-value :meth:`encrypt`
+        loop, with ``a*s`` and the encodings folded into the same
+        reduction mod p.  A constant's encoding is the same residue in
+        every NTT slot, so it needs no transform and is looked up once
+        per distinct value.
         """
         rng = sampling.resolve_rng(rng)
         ring = self.ring
         values = np.asarray(values, dtype=np.int64)
-        a_ntt = ring.expand_uniform(a_seed, len(values))
         e = ring.sample_gaussian_signed(rng, self.params.sigma, len(values))
         distinct, which = np.unique(values, return_inverse=True)
         table = ring.from_ints(self._scale(distinct))  # (k, distinct)
         # a*s < p^2 < 2^62 stays unreduced until to_ntt_small's one % p.
-        np.multiply(a_ntt, sk.s_ntt, out=a_ntt)
-        return ring.to_ntt_small(e, constants=table.T[which], addend=a_ntt)
+        a_s = np.multiply(a_ntt, sk.s_ntt)
+        return ring.to_ntt_small(e, constants=table.T[which], addend=a_s)
 
     def decrypt_phase(self, sk: BfvSecretKey, ct: BfvCiphertext) -> list[int]:
         """The centered decryption phase ``b - a*s`` as Python ints."""

@@ -206,6 +206,8 @@ def test_double_layer_and_token_mint(worlds, served, backend, batch, q_bits):
         [{"ranking": enc_key} for enc_key in world.enc_keys[:batch]]
     )
     assert len(payloads) == batch
+    a_product = factory.a_products()["ranking"]
+    scheme.adopt_a_product(a_product, world.prep.rows)
     answers = scheme.apply_batch(None, world.cts[:batch], plan=plan)
     assert answers.shape == (ROWS, batch)
     for i, payload in enumerate(payloads):
@@ -215,8 +217,10 @@ def test_double_layer_and_token_mint(worlds, served, backend, batch, q_bits):
         got = scheme.decrypt_centered(world.keys[i], answers[:, i], hint_product)
         assert np.array_equal(got, world.expected_scores(i))
     if batch == 1:
-        (hint,) = scheme.evaluate_hint_batch(world.enc_keys[:1], world.prep)
-        single = scheme.evaluate_hint(world.enc_keys[0], world.prep)
+        (hint,) = scheme.evaluate_hint_batch(
+            world.enc_keys[:1], world.prep, a_product
+        )
+        single = scheme.evaluate_hint(world.enc_keys[0], world.prep, a_product)
         assert scheme.decrypt_hint_product(world.keys[0], hint).tolist() == (
             scheme.decrypt_hint_product(world.keys[0], single).tolist()
         )

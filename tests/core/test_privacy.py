@@ -128,9 +128,8 @@ def _schemes(engine) -> dict:
 
 
 class TestKeyUpload:
-    """The seed-compressed encrypted-key upload: its size is fixed by
-    configuration, its ``z_b`` words look uniform, and its seed is
-    fresh public randomness per key."""
+    """The encrypted-key upload: its size is fixed by configuration and
+    its ``z_b`` words look uniform."""
 
     def test_upload_size_is_independent_of_the_rng(self, engine):
         from repro.homenc.token import make_client_keys
@@ -189,15 +188,57 @@ class TestKeyUpload:
         _, p_value = stats.chisquare(counts)
         assert p_value > 0.001
 
-    def test_seed_is_fresh_public_randomness(self, engine):
-        scheme = engine.index.ranking_scheme
-        keys = scheme.gen_keys(np.random.default_rng(0))
-        seeds = [
-            scheme.encrypt_key(keys, np.random.default_rng(s)).a_seed
-            for s in (1, 1, 2)
-        ]
-        assert seeds[0] == seeds[1]
-        assert seeds[0] != seeds[2]
+
+
+class TestAProducts:
+    """The per-generation ``a``-products: one public object per index,
+    never per client."""
+
+    def test_response_is_byte_identical_for_every_client_and_fetch(
+        self, engine
+    ):
+        """Every fetch, on any client's channel, returns the same bytes;
+        so does a mint built independently over the same index, as
+        another server process would build it."""
+        from repro.homenc import TokenFactory
+        from repro.net import wire
+        from repro.net.rpc import RpcChannel
+        from repro.net.transport import TrafficLog
+
+        bodies = {
+            bytes(
+                RpcChannel(TrafficLog(), engine.transport).call(
+                    "token", "token", "a_products", b""
+                )
+            )
+            for _ in range(3)
+        }
+        index = engine.index
+        fresh = TokenFactory()
+        fresh.register("ranking", index.ranking_scheme, index.ranking_prep)
+        fresh.register("url", index.url_scheme, index.url_prep)
+        bodies.add(bytes(wire.encode_a_products(fresh.a_products())))
+        assert len(bodies) == 1
+        products = wire.decode_a_products(bodies.pop())
+        for name, scheme in _schemes(engine).items():
+            assert products[name].digest == scheme.held_a_product.digest
+
+    def test_mint_sizes_depend_on_configuration_only(self, engine):
+        """A token's download is fixed by the service shapes: one ``b``
+        element per hint chunk plus fixed headers, whatever the keys."""
+        from repro.net import wire
+        from repro.net.rpc import FRAME_BYTES
+
+        tokens = engine.mint_tokens(3, np.random.default_rng(20))
+        tokens.append(engine.mint_token(np.random.default_rng(21)))
+        index = engine.index
+        rows = {"ranking": index.ranking_prep.rows, "url": index.url_prep.rows}
+        want = FRAME_BYTES + 2 + sum(
+            1 + len(name) + 4 + wire._HINT_HEADER.size
+            + _schemes(engine)[name].compressed_hint_bytes(rows[name])
+            for name in rows
+        )
+        assert {t.download_bytes for t in tokens} == {want}
 
 
 class TestServerScansEverything:

@@ -91,7 +91,7 @@ class TestMalformedKeyOverTcp:
         }
         _, enc_keys, _ = make_client_keys(schemes, np.random.default_rng(0))
         good = enc_keys["url"]
-        enc_keys["url"] = EncryptedKey(z_b=good.z_b[:1], a_seed=good.a_seed)
+        enc_keys["url"] = EncryptedKey(z_b=good.z_b[:1])
         with ServerRunner(build_services(engine.index).values(), port=0) as runner:
             host, port = runner.address
             transport = SocketTransport(host, port, timeout=30.0)
@@ -156,25 +156,37 @@ class TestMalformedHintPayload:
         from repro.homenc.double import CompressedHint
 
         edit = self._edit_url_hint(
-            lambda hint: CompressedHint(chunks=hint.chunks, rows=5000)
+            lambda hint: CompressedHint(
+                b=hint.b, rows=5000, a_digest=hint.a_digest
+            )
         )
         with pytest.raises(ValueError, match="service 'url'.*5000 rows"):
             self._mint(engine, edit)
 
     def test_oversized_residue_rejected(self, engine):
         from repro.homenc.double import CompressedHint
-        from repro.rlwe.bfv import BfvCiphertext
+
+        p = engine.index.url_scheme.outer.ring.primes[0]
 
         def change(hint):
-            first = hint.chunks[0]
-            a = first.a.copy()
-            a[0, 0] = 1 << 40
-            chunk = BfvCiphertext(b=first.b, a=a)
-            return CompressedHint(
-                chunks=(chunk,) + hint.chunks[1:], rows=hint.rows
-            )
+            b = hint.b.copy()
+            b[0, 0, 0] = p
+            return CompressedHint(b=b, rows=hint.rows, a_digest=hint.a_digest)
 
         with pytest.raises(ValueError, match="service 'url'.*outside"):
+            self._mint(engine, self._edit_url_hint(change))
+
+    def test_hint_of_another_generation_is_a_typed_error(self, engine):
+        """A hint paired with another ``a``-product than the client's
+        -- as after a swap to another generation -- never decrypts."""
+        from repro.homenc import GenerationMismatchError
+        from repro.homenc.double import CompressedHint
+
+        def change(hint):
+            other = bytes(x ^ 0xFF for x in hint.a_digest)
+            return CompressedHint(b=hint.b, rows=hint.rows, a_digest=other)
+
+        with pytest.raises(GenerationMismatchError, match="another index"):
             self._mint(engine, self._edit_url_hint(change))
 
     def test_missing_service_rejected(self, engine):

@@ -22,6 +22,7 @@ from repro.homenc import DoubleLheParams, DoubleLheScheme
 from repro.lwe import LweParams, modular
 from repro.lwe.regev import stack_ciphertexts
 from repro.lwe.sampling import seeded_rng
+from tests.homenc.key_oracle import adopt_own_a_product
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +82,9 @@ class TestEvaluateHintBatch:
         scheme, _, prep, clients = double_setup
         clients = clients[:num_clients]
         batched = scheme.evaluate_hint_batch(
-            [enc_key for _, enc_key, _, _ in clients], prep
+            [enc_key for _, enc_key, _, _ in clients],
+            prep,
+            adopt_own_a_product(scheme, prep),
         )
         assert len(batched) == num_clients
         for (keys, _, _, _), hint in zip(clients, batched):
@@ -92,13 +95,17 @@ class TestEvaluateHintBatch:
 
     def test_empty_batch(self, double_setup):
         scheme, _, prep, _ = double_setup
-        assert scheme.evaluate_hint_batch([], prep) == []
+        assert scheme.evaluate_hint_batch(
+            [], prep, adopt_own_a_product(scheme, prep)
+        ) == []
 
     def test_batched_hints_decrypt_correct_scores(self, double_setup):
         """End to end: token minted via the batch path still decrypts."""
         scheme, matrix, prep, clients = double_setup
         enc_keys = [enc_key for _, enc_key, _, _ in clients]
-        batched = scheme.evaluate_hint_batch(enc_keys, prep)
+        batched = scheme.evaluate_hint_batch(
+            enc_keys, prep, adopt_own_a_product(scheme, prep)
+        )
         for (keys, _, cts, msgs), hint in zip(clients, batched):
             hint_product = scheme.decrypt_hint_product(keys, hint)
             got = scheme.decrypt_centered(
@@ -132,7 +139,9 @@ def test_batched_pipeline_total_correctness(case):
     enc_key = scheme.encrypt_key(keys, rng)
     matrix = rng.integers(-4, 5, size=(rows, m))
     prep = scheme.preprocess(matrix)
-    (hint,) = scheme.evaluate_hint_batch([enc_key], prep)
+    (hint,) = scheme.evaluate_hint_batch(
+        [enc_key], prep, adopt_own_a_product(scheme, prep)
+    )
     hint_product = scheme.decrypt_hint_product(keys, hint)
     msgs = [rng.integers(-4, 5, m) for _ in range(batch)]
     cts = [scheme.encrypt(keys, msg, rng) for msg in msgs]

@@ -6,6 +6,7 @@ import pytest
 from repro.homenc import DoubleLheParams, DoubleLheScheme
 from repro.lwe import LweParams
 from repro.lwe.sampling import seeded_rng
+from tests.homenc.key_oracle import adopt_own_a_product
 
 
 def toy_params(q_bits=64, p=2**12, m=48, n_inner=32, n_outer=64):
@@ -34,7 +35,9 @@ class TestHintOutsourcing:
         rng = seeded_rng(1)
         matrix = rng.integers(-8, 8, size=(20, scheme.params.inner.m))
         prep = scheme.preprocess(matrix)
-        compressed = scheme.evaluate_hint(enc_key, prep)
+        compressed = scheme.evaluate_hint(
+            enc_key, prep, adopt_own_a_product(scheme, prep)
+        )
         got = scheme.decrypt_hint_product(keys, compressed)
         t = scheme.params.switch_modulus
         want = (
@@ -48,8 +51,10 @@ class TestHintOutsourcing:
         rows = scheme.params.outer_n * 2 + 5  # forces three chunks
         matrix = rng.integers(-8, 8, size=(rows, scheme.params.inner.m))
         prep = scheme.preprocess(matrix)
-        compressed = scheme.evaluate_hint(enc_key, prep)
-        assert len(compressed.chunks) == 3
+        compressed = scheme.evaluate_hint(
+            enc_key, prep, adopt_own_a_product(scheme, prep)
+        )
+        assert compressed.b.shape[0] == 3
         got = scheme.decrypt_hint_product(keys, compressed)
         assert got.shape == (rows,)
 
@@ -62,7 +67,9 @@ class TestEndToEnd:
         matrix = rng.integers(-8, 8, size=(30, scheme.params.inner.m))
         prep = scheme.preprocess(matrix)
         hint_product = scheme.decrypt_hint_product(
-            keys, scheme.evaluate_hint(enc_key, prep)
+            keys, scheme.evaluate_hint(
+                enc_key, prep, adopt_own_a_product(scheme, prep)
+            )
         )
         ct = scheme.encrypt(keys, msg, rng)
         answer = scheme.apply(matrix, ct)
@@ -80,7 +87,9 @@ class TestEndToEnd:
         matrix = rng.integers(0, 8, size=(16, scheme32.params.inner.m))
         prep = scheme32.preprocess(matrix)
         hint_product = scheme32.decrypt_hint_product(
-            keys, scheme32.evaluate_hint(enc_key, prep)
+            keys, scheme32.evaluate_hint(
+                enc_key, prep, adopt_own_a_product(scheme32, prep)
+            )
         )
         ct = scheme32.encrypt(keys, msg, rng)
         got = scheme32.decrypt(keys, scheme32.apply(matrix, ct), hint_product)
@@ -95,7 +104,9 @@ class TestEndToEnd:
         eye = np.eye(scheme.params.inner.m, dtype=np.int64)
         prep = scheme.preprocess(eye)
         hint_product = scheme.decrypt_hint_product(
-            keys, scheme.evaluate_hint(enc_key, prep)
+            keys, scheme.evaluate_hint(
+                enc_key, prep, adopt_own_a_product(scheme, prep)
+            )
         )
         ct = scheme.encrypt(keys, msg, rng)
         got = scheme.decrypt(keys, scheme.apply(eye, ct), hint_product)
@@ -118,10 +129,26 @@ class TestCompression:
         assert len(blob) == enc_key.wire_bytes() + wire._KEY_HEADER.size
 
     def test_key_upload_carries_no_a_half(self, scheme):
-        """Seed compression: the upload is one RNS element per inner
-        component plus the seed -- half of n_inner full ciphertexts."""
+        """The upload is one RNS element per inner component, 4 bytes a
+        residue -- half of n_inner full ciphertexts, and no seed."""
         full = scheme.params.inner.n * scheme.outer.params.ciphertext_bytes()
-        assert scheme.key_upload_bytes() == full // 2 + 32
+        assert scheme.key_upload_bytes() == full // 2
+        n_outer, ring = scheme.params.outer_n, scheme.outer.ring
+        assert full // 2 == scheme.params.inner.n * ring.k * n_outer * 4
+
+    def test_token_download_carries_no_a_half(self, scheme, keyed):
+        """A minted hint is one ``b`` element per chunk, 4 bytes a
+        residue; the ``a`` halves are fetched once per generation."""
+        _, enc_key = keyed
+        rows = 2 * scheme.params.outer_n + 1
+        matrix = seeded_rng(6).integers(-8, 8, size=(rows, scheme.params.inner.m))
+        prep = scheme.preprocess(matrix)
+        a_product = scheme.a_product(prep)
+        hint = scheme.evaluate_hint(enc_key, prep, a_product)
+        chunk = scheme.outer.params.ciphertext_bytes()
+        assert hint.wire_bytes() == scheme.compressed_hint_bytes(rows)
+        assert hint.wire_bytes() == 3 * chunk // 2
+        assert a_product.wire_bytes() == 3 * chunk // 2
 
 
 class TestValidation:
@@ -129,6 +156,11 @@ class TestValidation:
         inner = LweParams(n=16, q_bits=32, p=16, sigma=6.4, m=8)
         with pytest.raises(ValueError):
             DoubleLheParams(inner=inner, switch_modulus=1 << 20)
+
+    def test_outer_primes_wider_than_u32_rejected(self):
+        inner = LweParams(n=16, q_bits=32, p=16, sigma=6.4, m=8)
+        with pytest.raises(ValueError, match="u32"):
+            DoubleLheParams(inner=inner, outer_prime_bits=33)
 
     def test_oversized_switch_modulus_rejected(self):
         inner = LweParams(n=16, q_bits=32, p=16, sigma=6.4, m=8)

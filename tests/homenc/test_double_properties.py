@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.homenc import DoubleLheParams, DoubleLheScheme
 from repro.lwe import LweParams
 from repro.lwe.sampling import seeded_rng
+from tests.homenc.key_oracle import adopt_own_a_product
 
 
 @st.composite
@@ -44,7 +45,9 @@ def test_pipeline_total_correctness(case):
     msg = rng.integers(-bound, bound + 1, m)
     prep = scheme.preprocess(matrix)
     hint_product = scheme.decrypt_hint_product(
-        keys, scheme.evaluate_hint(enc_key, prep)
+        keys, scheme.evaluate_hint(
+            enc_key, prep, adopt_own_a_product(scheme, prep)
+        )
     )
     ct = scheme.encrypt(keys, msg, rng)
     got = scheme.decrypt_centered(keys, scheme.apply(matrix, ct), hint_product)
@@ -71,7 +74,9 @@ def test_one_key_many_matrices(seed, num_matrices):
         matrix = rng.integers(-3, 4, size=(6, 8))
         prep = scheme.preprocess(matrix)
         hint_product = scheme.decrypt_hint_product(
-            keys, scheme.evaluate_hint(enc_key, prep)
+            keys, scheme.evaluate_hint(
+                enc_key, prep, adopt_own_a_product(scheme, prep)
+            )
         )
         got = scheme.decrypt_centered(
             keys, scheme.apply(matrix, ct), hint_product

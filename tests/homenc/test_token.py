@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from repro.homenc import (
+    AProduct,
     DoubleLheParams,
     DoubleLheScheme,
     EncryptedKey,
+    GenerationMismatchError,
     TokenFactory,
     TokenReuseError,
 )
 from repro.homenc.double import CompressedHint
 from repro.homenc.token import make_client_keys, request_token
-from repro.rlwe.bfv import BfvCiphertext
 from repro.lwe import LweParams
 from repro.lwe.sampling import seeded_rng
 
@@ -106,12 +107,10 @@ class TestTokenLifecycle:
 
 
 def assert_hints_equal(a, b):
-    """Bit-identity of two CompressedHint payloads, chunk by chunk."""
+    """Bit-identity of two CompressedHint payloads."""
     assert a.rows == b.rows
-    assert len(a.chunks) == len(b.chunks)
-    for ca, cb in zip(a.chunks, b.chunks):
-        np.testing.assert_array_equal(ca.b, cb.b)
-        np.testing.assert_array_equal(ca.a, cb.a)
+    assert a.a_digest == b.a_digest
+    np.testing.assert_array_equal(a.b, b.b)
 
 
 class TestMintMany:
@@ -137,6 +136,9 @@ class TestMintMany:
         keys, enc_keys, _ = make_client_keys(schemes, seeded_rng(40))
         payload = factory.mint(enc_keys)
         for name, scheme in schemes.items():
+            scheme.adopt_a_product(
+                factory.a_products()[name], factory.service(name).prep.rows
+            )
             got = scheme.decrypt_hint_product(keys[name], payload.hints[name])
             want = (
                 factory.service(name).prep.switched_hint.astype(object)
@@ -206,6 +208,23 @@ class TestFactoryValidation:
         with pytest.raises(ValueError):
             factory.mint(enc_keys)
 
+    def test_unserved_service_rejected(self, two_services):
+        """A key for a service this mint does not serve is an error, not
+        silently ignored."""
+        schemes, factory, _, _ = two_services
+        good = make_client_keys(schemes, seeded_rng(10))[1]
+        extra = dict(good, extra=good["url"])
+        with pytest.raises(ValueError, match=r"client 1: .*\['extra'\]"):
+            factory.mint_many([good, extra])
+
+    def test_a_products_are_computed_once(self, two_services):
+        schemes, factory, _, _ = two_services
+        first = factory.a_products()
+        assert factory.a_products() is first
+        assert set(first) == {"ranking", "url"}
+        for name, a_product in first.items():
+            assert a_product.rows == factory.service(name).prep.rows
+
 
 def _reshaped(z_b, how):
     """``z_b`` with one axis cut down or grown by one entry."""
@@ -237,7 +256,7 @@ class TestMalformedKeys:
         schemes, factory, _, _ = two_services
         _, enc_keys, _ = make_client_keys(schemes, seeded_rng(60))
         good = enc_keys["ranking"]
-        bad = EncryptedKey(z_b=_reshaped(good.z_b, how), a_seed=good.a_seed)
+        bad = EncryptedKey(z_b=_reshaped(good.z_b, how))
         with pytest.raises(ValueError) as info:
             factory.mint({"ranking": bad, "url": good})
         message = str(info.value)
@@ -251,30 +270,23 @@ class TestMalformedKeys:
         good = enc_keys["url"]
         z_b = good.z_b.copy()
         z_b[3, 1, 5] = schemes["url"].outer.ring.primes[1]
-        bad = EncryptedKey(z_b=z_b, a_seed=good.a_seed)
+        bad = EncryptedKey(z_b=z_b)
         with pytest.raises(ValueError, match="service 'url'.*outside"):
             factory.mint({"ranking": good, "url": bad})
-
-    def test_short_seed_rejected(self, two_services):
-        schemes, factory, _, _ = two_services
-        _, enc_keys, _ = make_client_keys(schemes, seeded_rng(62))
-        good = enc_keys["ranking"]
-        bad = EncryptedKey(z_b=good.z_b, a_seed=good.a_seed[:31])
-        with pytest.raises(ValueError, match="service 'ranking'.*31 bytes"):
-            factory.mint({"ranking": bad, "url": good})
 
     def test_one_bad_client_fails_the_whole_batch(self, two_services):
         schemes, factory, _, _ = two_services
         good = make_client_keys(schemes, seeded_rng(63))[1]
         key = good["url"]
-        bad = EncryptedKey(z_b=key.z_b[:1], a_seed=key.a_seed)
+        bad = EncryptedKey(z_b=key.z_b[:1])
         with pytest.raises(ValueError, match="client 1"):
             factory.mint_many([good, {"ranking": bad, "url": bad}])
 
 
 class TestMalformedHints:
     """``check_hint`` refuses a compressed hint the client cannot decrypt
-    into the right rows -- each case would otherwise decrypt silently
+    into the right rows, and ``check_a_product`` an ``a``-product it
+    cannot pair with one -- each case would otherwise decrypt silently
     into a wrong hint product."""
 
     @pytest.fixture()
@@ -283,46 +295,85 @@ class TestMalformedHints:
         _, enc_keys, _ = make_client_keys(schemes, seeded_rng(70))
         hint = factory.mint(enc_keys).hints["ranking"]
         rows = factory.service("ranking").prep.rows
-        return schemes["ranking"], hint, rows
+        return schemes["ranking"], hint, rows, factory.a_products()["ranking"]
 
     @staticmethod
-    def _with_first_chunk(hint, b=None, a=None):
-        first = hint.chunks[0]
-        chunk = BfvCiphertext(
-            b=first.b if b is None else b, a=first.a if a is None else a
-        )
-        return CompressedHint(chunks=(chunk,) + hint.chunks[1:], rows=hint.rows)
+    def _check_with(scheme, hint, a_product, rows, half, words):
+        """Check the hint (half ``b``) or the a-product (half ``a``) with
+        its words replaced by ``words``."""
+        if half == "b":
+            bad = CompressedHint(b=words, rows=hint.rows, a_digest=hint.a_digest)
+            scheme.check_hint(bad, rows)
+        else:
+            scheme.check_a_product(AProduct(words=words, rows=a_product.rows), rows)
 
     def test_a_minted_hint_passes(self, minted):
-        scheme, hint, rows = minted
+        scheme, hint, rows, a_product = minted
         scheme.check_hint(hint, rows)
+        scheme.check_a_product(a_product, rows)
 
     def test_rows_other_than_the_services_rejected(self, minted):
-        scheme, hint, rows = minted
-        inflated = CompressedHint(chunks=hint.chunks, rows=5000)
+        scheme, hint, rows, a_product = minted
+        inflated = CompressedHint(b=hint.b, rows=5000, a_digest=hint.a_digest)
         with pytest.raises(ValueError, match="5000 rows"):
             scheme.check_hint(inflated, rows)
+        with pytest.raises(ValueError, match="5000 rows"):
+            scheme.check_a_product(AProduct(words=a_product.words, rows=5000), rows)
 
     def test_missing_chunk_rejected(self, minted):
-        scheme, hint, rows = minted
-        with pytest.raises(ValueError, match="0 chunks"):
-            scheme.check_hint(CompressedHint(chunks=(), rows=rows), rows)
+        scheme, hint, rows, _ = minted
+        empty = CompressedHint(b=hint.b[:0], rows=rows, a_digest=hint.a_digest)
+        with pytest.raises(ValueError, match=r"\(0, 3, 64\), expected"):
+            scheme.check_hint(empty, rows)
 
     @pytest.mark.parametrize("half", ["b", "a"])
     @pytest.mark.parametrize("cut", ["k", "n_outer"])
     def test_wrong_chunk_shape_rejected(self, minted, half, cut):
-        scheme, hint, rows = minted
-        words = getattr(hint.chunks[0], half)
-        short = words[:-1] if cut == "k" else words[:, :-1]
-        bad = self._with_first_chunk(hint, **{half: short})
-        with pytest.raises(ValueError, match=f"chunk 0 {half} is uint64"):
-            scheme.check_hint(bad, rows)
+        scheme, hint, rows, a_product = minted
+        words = hint.b if half == "b" else a_product.words
+        short = words[:, :-1] if cut == "k" else words[:, :, :-1]
+        with pytest.raises(ValueError, match=r"is uint64 \(1, "):
+            self._check_with(scheme, hint, a_product, rows, half, short)
 
     @pytest.mark.parametrize("value", ["p", "2^40"])
     def test_residue_at_or_above_its_prime_rejected(self, minted, value):
-        scheme, hint, rows = minted
-        a = hint.chunks[0].a.copy()
+        scheme, hint, rows, a_product = minted
         p = scheme.outer.ring.primes[2]
-        a[2, 7] = p if value == "p" else 1 << 40
-        with pytest.raises(ValueError, match="chunk 0 a has residues outside"):
-            scheme.check_hint(self._with_first_chunk(hint, a=a), rows)
+        for half, words in (("b", hint.b), ("a", a_product.words)):
+            words = words.copy()
+            words[0, 2, 7] = p if value == "p" else 1 << 40
+            with pytest.raises(ValueError, match="has residues outside"):
+                self._check_with(scheme, hint, a_product, rows, half, words)
+
+
+class TestGenerationPairing:
+    """A token's ``b`` halves pair only with the ``a``-product they were
+    minted against: another generation's is a typed error."""
+
+    @staticmethod
+    def _generation(seed):
+        rng = seeded_rng(80)
+        scheme = make_service(64, 2**12, 40, seed=seed)
+        factory = TokenFactory()
+        matrix = rng.integers(-8, 8, size=(30, 40))
+        factory.register("ranking", scheme, scheme.preprocess(matrix))
+        return scheme, factory
+
+    def test_hint_of_another_generation_is_a_typed_error(self):
+        old, old_factory = self._generation(b"g" * 32)
+        new, new_factory = self._generation(b"h" * 32)
+        old.adopt_a_product(old_factory.a_products()["ranking"], 30)
+        keys, enc_keys, _ = make_client_keys({"ranking": old}, seeded_rng(81))
+        hint = new_factory.mint(enc_keys).hints["ranking"]
+        old.check_hint(hint, 30)  # same shape: only the pairing can tell
+        with pytest.raises(GenerationMismatchError, match="another index"):
+            old.decrypt_hint_product(keys["ranking"], hint)
+        own = old_factory.mint(enc_keys).hints["ranking"]
+        old.decrypt_hint_product(keys["ranking"], own)
+
+    def test_no_a_product_held_is_an_error(self):
+        scheme, factory = self._generation(b"i" * 32)
+        keys, enc_keys, _ = make_client_keys({"ranking": scheme}, seeded_rng(82))
+        hint = factory.mint(enc_keys).hints["ranking"]
+        with pytest.raises(ValueError, match="no a-product held"):
+            scheme.decrypt_hint_product(keys["ranking"], hint)

@@ -93,15 +93,21 @@ def enc_key(key_scheme):
 
 
 @pytest.fixture(scope="module")
-def token_payload(key_scheme, enc_key):
-    """A minted two-service token, each hint two chunks long."""
+def token_factory(key_scheme):
+    """A two-service mint whose hints are two chunks long."""
     from repro.homenc import TokenFactory
 
     factory = TokenFactory()
     matrix = seeded_rng(7).integers(0, 256, size=(40, 8))
     for name in ("ranking", "url"):
         factory.register(name, key_scheme, key_scheme.preprocess(matrix))
-    return factory.mint({"ranking": enc_key, "url": enc_key})
+    return factory
+
+
+@pytest.fixture(scope="module")
+def token_payload(token_factory, enc_key):
+    """A minted two-service token."""
+    return token_factory.mint({"ranking": enc_key, "url": enc_key})
 
 
 class TestEncryptedKey:
@@ -129,8 +135,140 @@ class TestEncryptedKey:
         assert len(blob) == enc_key.wire_bytes() + wire._KEY_HEADER.size
         back = wire.decode_encrypted_key(bytes(blob))
         np.testing.assert_array_equal(back.z_b, enc_key.z_b)
-        assert back.a_seed == enc_key.a_seed
+        assert back.z_b.dtype == np.uint64
         back.z_b[0, 0, 0] += 1  # a fresh writable copy
+
+    def test_residues_travel_as_u32(self, enc_key):
+        """Narrowed once on encode: the body is the u32 residues."""
+        blob = bytes(wire.encode_encrypted_key(enc_key))
+        assert enc_key.wire_bytes() == enc_key.z_b.size * 4
+        body = blob[wire._KEY_HEADER.size :]
+        assert body == enc_key.z_b.astype("<u4").tobytes()
+
+
+class TestMintRequestHardening:
+    """The mint-request decoder refuses a request it would otherwise
+    half-read: bytes after the map, a service named twice, an upload no
+    service references."""
+
+    @staticmethod
+    def _request(keys: list[bytes], services: list[tuple[bytes, int]]) -> bytes:
+        import struct
+
+        parts = [struct.pack("<H", len(keys))]
+        parts += [struct.pack("<I", len(k)) + k for k in keys]
+        parts.append(struct.pack("<H", len(services)))
+        parts += [
+            bytes([len(name)]) + name + struct.pack("<H", idx)
+            for name, idx in services
+        ]
+        return b"".join(parts)
+
+    def test_trailing_bytes_rejected(self, enc_key):
+        blob = wire.encode_mint_request({"ranking": enc_key, "url": enc_key})
+        with pytest.raises(ValueError, match="mint request: 7 trailing"):
+            wire.decode_mint_request(blob + b"garbage")
+
+    def test_service_listed_twice_rejected(self, enc_key):
+        key = bytes(wire.encode_encrypted_key(enc_key))
+        blob = self._request([key], [(b"url", 0), (b"url", 0)])
+        with pytest.raises(ValueError, match="'url' listed twice"):
+            wire.decode_mint_request(blob)
+
+    def test_unreferenced_key_rejected_before_decoding(self, enc_key):
+        key = bytes(wire.encode_encrypted_key(enc_key))
+        # The second upload is not even a valid key: it must be refused
+        # for being unreferenced, never decoded.
+        blob = self._request([key, b"junk"], [(b"url", 0)])
+        with pytest.raises(ValueError, match=r"keys \[1\] are referenced by no"):
+            wire.decode_mint_request(blob)
+
+    def test_well_formed_request_round_trips(self, enc_key):
+        key = bytes(wire.encode_encrypted_key(enc_key))
+        back = wire.decode_mint_request(self._request([key], [(b"url", 0)]))
+        np.testing.assert_array_equal(back["url"].z_b, enc_key.z_b)
+
+
+class TestHintCodecs:
+    """Hints carry ``b`` halves and the digest of their ``a``-product;
+    the ``a``-products travel once, both as u32 residues."""
+
+    def test_hint_round_trip_and_size(self, token_payload):
+        hint = token_payload.hints["ranking"]
+        blob = wire.encode_compressed_hint(hint)
+        assert len(blob) == hint.wire_bytes() + wire._HINT_HEADER.size
+        back = wire.decode_compressed_hint(bytes(blob))
+        np.testing.assert_array_equal(back.b, hint.b)
+        assert back.b.dtype == np.uint64
+        assert (back.rows, back.a_digest) == (hint.rows, hint.a_digest)
+
+    def test_a_products_round_trip(self, token_factory):
+        products = token_factory.a_products()
+        back = wire.decode_a_products(wire.encode_a_products(products))
+        assert set(back) == set(products)
+        for name, a_product in products.items():
+            np.testing.assert_array_equal(back[name].words, a_product.words)
+            assert back[name].rows == a_product.rows
+            assert back[name].digest == a_product.digest
+
+    def test_a_product_size(self, token_factory):
+        a_product = token_factory.a_products()["url"]
+        blob = wire.encode_a_product(a_product)
+        assert len(blob) == a_product.wire_bytes() + wire._STACK_HEADER.size
+
+    def test_truncated_and_trailing_rejected(self, token_factory, token_payload):
+        hint = bytes(wire.encode_compressed_hint(token_payload.hints["url"]))
+        products = token_factory.a_products()
+        a_product = bytes(wire.encode_a_product(products["url"]))
+        for decode, blob, what in (
+            (wire.decode_compressed_hint, hint, "compressed hint"),
+            (wire.decode_a_product, a_product, "a-product"),
+        ):
+            with pytest.raises(ValueError, match=f"{what}: payload is"):
+                decode(blob[:-4])
+            with pytest.raises(ValueError, match=f"{what}: 4 trailing"):
+                decode(blob + b"\0" * 4)
+
+    def test_wrong_chunk_count_rejected(self, key_scheme, token_payload):
+        """A header declaring another chunk count: the body no longer
+        fits, or -- body and all -- the scheme's check refuses it."""
+        hint = token_payload.hints["url"]
+        blob = bytearray(wire.encode_compressed_hint(hint))
+        chunks, rows, k, n, digest = wire._HINT_HEADER.unpack_from(blob)
+        wire._HINT_HEADER.pack_into(blob, 0, chunks + 1, rows, k, n, digest)
+        with pytest.raises(ValueError, match="expected"):
+            wire.decode_compressed_hint(bytes(blob))
+        from repro.homenc.double import CompressedHint
+
+        grown = CompressedHint(
+            b=np.concatenate([hint.b, hint.b[:1]]), rows=rows, a_digest=digest
+        )
+        blob = bytes(wire.encode_compressed_hint(grown))
+        back = wire.decode_compressed_hint(blob)
+        with pytest.raises(ValueError, match=r"\(3, 3, 32\), expected"):
+            key_scheme.check_hint(back, rows)
+
+    def test_residue_at_or_above_p_decodes_but_is_refused(
+        self, key_scheme, token_factory, token_payload, enc_key
+    ):
+        """u32 words can carry a residue >= p; the scheme checks stay."""
+        p = key_scheme.outer.ring.primes[0]
+        hint = bytearray(wire.encode_compressed_hint(token_payload.hints["url"]))
+        first = wire._HINT_HEADER.size
+        hint[first : first + 4] = p.to_bytes(4, "little")
+        back = wire.decode_compressed_hint(bytes(hint))
+        with pytest.raises(ValueError, match="residues outside"):
+            key_scheme.check_hint(back, back.rows)
+        products = token_factory.a_products()
+        a_product = bytearray(wire.encode_a_product(products["url"]))
+        a_product[-4:] = (2**32 - 1).to_bytes(4, "little")
+        back = wire.decode_a_product(bytes(a_product))
+        with pytest.raises(ValueError, match="residues outside"):
+            key_scheme.check_a_product(back, back.rows)
+        key = bytearray(wire.encode_encrypted_key(enc_key))
+        key[-4:] = p.to_bytes(4, "little")
+        with pytest.raises(ValueError, match="residues outside"):
+            key_scheme.check_key(wire.decode_encrypted_key(bytes(key)))
 
 
 class TestTruncationHardening:
@@ -175,15 +313,10 @@ class TestTruncationHardening:
         with pytest.raises(ValueError, match="expected at least"):
             wire.decode_encrypted_key(blob[: wire._KEY_HEADER.size - 1])
 
-    def test_encrypted_key_truncated_seed(self, enc_key):
-        blob = wire.encode_encrypted_key(enc_key)
-        with pytest.raises(ValueError, match="for the seed"):
-            wire.decode_encrypted_key(blob[: wire._KEY_HEADER.size + 31])
-
     def test_encrypted_key_truncated_words(self, enc_key):
         blob = wire.encode_encrypted_key(enc_key)
         with pytest.raises(ValueError, match=r"payload is .* expected"):
-            wire.decode_encrypted_key(blob[:-8])
+            wire.decode_encrypted_key(blob[:-4])
 
     def test_encrypted_key_trailing_bytes_rejected(self, enc_key):
         blob = bytes(wire.encode_encrypted_key(enc_key)) + b"\0"
@@ -196,13 +329,6 @@ class TestTruncationHardening:
         wire._KEY_HEADER.pack_into(blob, 0, n_inner + 1, k, n_outer)
         with pytest.raises(ValueError, match="expected"):
             wire.decode_encrypted_key(bytes(blob))
-
-    def test_encrypted_key_short_seed_not_encoded(self, enc_key):
-        from repro.homenc import EncryptedKey
-
-        short = EncryptedKey(z_b=enc_key.z_b, a_seed=enc_key.a_seed[:31])
-        with pytest.raises(ValueError, match="31 bytes"):
-            wire.encode_encrypted_key(short)
 
     def test_compressed_hint_trailing_bytes_rejected(self, token_payload):
         blob = wire.encode_compressed_hint(token_payload.hints["ranking"])

@@ -6,6 +6,7 @@ import pytest
 from repro.lwe import modular
 from repro.lwe.regev import stack_ciphertexts
 from repro.pir.simplepir import build_pir
+from tests.homenc.key_oracle import adopt_own_a_product
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +59,8 @@ class TestPirAnswerBatch:
             enc_key = server.scheme.encrypt_key(
                 keys, np.random.default_rng(index)
             )
-            hint = server.scheme.evaluate_hint(enc_key, server.prep)
+            hint = server.scheme.evaluate_hint(
+                enc_key, server.prep, adopt_own_a_product(server.scheme, server.prep)
+            )
             hint_product = server.scheme.decrypt_hint_product(keys, hint)
             assert client.recover(keys, answer, hint_product) == records[index]

@@ -9,6 +9,7 @@ from repro.homenc.double import DoubleLheParams, DoubleLheScheme
 from repro.lwe.params import LweParams
 from repro.lwe.sampling import seeded_rng
 from repro.pir.database import PackedDatabase
+from tests.homenc.key_oracle import adopt_own_a_product
 
 
 class TestGridLayout:
@@ -61,7 +62,9 @@ class TestGridThroughPir:
         keys = scheme.gen_keys(rng)
         enc_key = scheme.encrypt_key(keys, rng)
         hint_product = scheme.decrypt_hint_product(
-            keys, scheme.evaluate_hint(enc_key, prep)
+            keys, scheme.evaluate_hint(
+                enc_key, prep, adopt_own_a_product(scheme, prep)
+            )
         )
         target = 7
         col = db.column_of(target)

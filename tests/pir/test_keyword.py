@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.pir.keyword import KeywordPir, bucket_of, _frame, _unframe
+from tests.homenc.key_oracle import adopt_own_a_product
 
 
 class TestFraming:
@@ -56,7 +57,9 @@ class TestKeywordPir:
         keys = scheme.gen_keys(rng)
         enc_key = scheme.encrypt_key(keys, rng)
         hint_product = scheme.decrypt_hint_product(
-            keys, scheme.evaluate_hint(enc_key, pir.server.prep)
+            keys, scheme.evaluate_hint(
+                enc_key, pir.server.prep, adopt_own_a_product(scheme, pir.server.prep)
+            )
         )
         key = list(table)[7]
         assert pir.lookup(key, keys, hint_product, rng) == table[key]

@@ -6,6 +6,7 @@ import pytest
 from repro.lwe.sampling import seeded_rng
 from repro.pir import build_pir
 from repro.pir.database import PackedDatabase
+from tests.homenc.key_oracle import adopt_own_a_product
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +51,9 @@ class TestCompressedMode:
         rng = seeded_rng(3)
         keys = client.keygen(rng)
         enc_key = server.scheme.encrypt_key(keys, rng)
-        compressed = server.scheme.evaluate_hint(enc_key, server.prep)
+        compressed = server.scheme.evaluate_hint(
+            enc_key, server.prep, adopt_own_a_product(server.scheme, server.prep)
+        )
         hint_product = server.scheme.decrypt_hint_product(keys, compressed)
         query = client.query(keys, 13, rng)
         answer = server.answer(query)
