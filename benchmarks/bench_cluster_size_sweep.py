@@ -16,7 +16,6 @@ balance.  This bench sweeps the cluster size around that optimum:
 import math
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import emit
 from repro.core.config import TiptoeConfig

@@ -12,8 +12,6 @@ Net effect: communication improves by two orders of magnitude and
 computation by one, at ~0.2 MRR@100.
 """
 
-import pytest
-
 from benchmarks.conftest import emit
 from repro.core.config import TiptoeConfig
 from repro.evalx.ablation import run_ablation_ladder

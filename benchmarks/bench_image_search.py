@@ -9,7 +9,6 @@ analytic model.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import emit
 from repro import TiptoeConfig, TiptoeEngine

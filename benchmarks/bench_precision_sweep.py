@@ -9,7 +9,6 @@ size claim that embeddings are a small fraction of document size.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import emit
 from repro.embeddings.quantize import QuantizationConfig, auto_gain, quantize

@@ -11,7 +11,6 @@ miniature).
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import emit
 from repro import TiptoeConfig, TiptoeEngine

@@ -14,7 +14,7 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro import TiptoeConfig, TiptoeEngine
-from repro.evalx.costmodel import MIB, PaperScaleModel
+from repro.evalx.costmodel import PaperScaleModel
 
 PAPER_TEXT = {
     "up_token_mib": 32.4,

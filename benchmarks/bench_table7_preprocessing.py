@@ -16,7 +16,6 @@ same rows at simulation scale.
 import time
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import emit
 from repro import TiptoeConfig, TiptoeEngine

@@ -7,8 +7,6 @@ bench prints our noise-budget formula's output next to the paper's
 values, plus the heuristic security estimate for each row.
 """
 
-import pytest
-
 from benchmarks.conftest import emit
 from repro.lwe.params import (
     PAPER_TABLE_11,

@@ -10,7 +10,7 @@ cluster boundary -- are assigned to their two nearest clusters, for a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -17,14 +17,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.client import ScoredResult, SearchResult
-from repro.core.ranking import RankingAnswer, RankingClient
+from repro.core.ranking import RankingClient
 from repro.core.url_service import UrlServiceClient
 from repro.embeddings.quantize import quantize
 from repro.lwe import sampling
 from repro.net import wire
 from repro.net.rpc import RpcChannel
 from repro.net.transport import TrafficLog
-from repro.pir.simplepir import PirAnswer
 
 
 class ClassicTiptoeClient:

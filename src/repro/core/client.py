@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from repro.homenc.token import QueryToken
 from repro.lwe import sampling
 from repro.net import wire
 from repro.net.rpc import RpcChannel
-from repro.net.transport import LinkModel, TrafficLog
+from repro.net.transport import TrafficLog
 from repro.obs import runtime as obs
 from repro.pir.simplepir import PirAnswer
 
@@ -314,18 +314,3 @@ class TiptoeClient:
             ),
             token_latency=traffic.simulated_latency(link, ["token"]),
         )
-
-    def search_hybrid(self, text: str) -> tuple[SearchResult, list[int]]:
-        """Semantic search plus the SS9 exact-keyword backends.
-
-        Returns the normal semantic result and the merged doc-id
-        ranking (exact hits first).  Requires the engine to have an
-        attached :class:`~repro.core.exact_backend.ExactSearchSuite`;
-        without one this is identical to :meth:`search`.
-        """
-        result = self.search(text)
-        semantic_ids = self.engine.result_doc_ids(result)
-        suite = getattr(self.engine, "exact_suite", None)
-        if suite is None:
-            return result, semantic_ids
-        return result, suite.merge_results(text, semantic_ids, self.rng)

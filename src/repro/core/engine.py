@@ -271,7 +271,8 @@ class TiptoeEngine:
         hint is checked against its service's scheme and hint height
         (:meth:`DoubleLheScheme.check_hint`) before it is decrypted; a
         hint minted for another generation than the held ``a``-product
-        raises :class:`~repro.homenc.GenerationMismatchError`.
+        raises :class:`~repro.homenc.GenerationMismatchError` first,
+        whatever its shape.
         """
         if count < 1:
             raise ValueError("must mint at least one token")
@@ -304,6 +305,10 @@ class TiptoeEngine:
             for keys, request, body in zip(keysets, requests, bodies):
                 payload = wire.decode_token_payload(body)
                 for name, scheme in schemes.items():
+                    if name in payload.hints:
+                        # After a swap the hint heights usually differ
+                        # too: name the stale generation, not the shape.
+                        scheme.check_generation(payload.hints[name])
                     try:
                         scheme.check_hint(payload.hints[name], rows[name])
                     except (KeyError, ValueError) as exc:
@@ -324,21 +329,6 @@ class TiptoeEngine:
                     )
                 )
         return tokens
-
-    # -- optional exact-keyword backends (SS9) ------------------------------------
-
-    exact_suite = None
-
-    def attach_exact_backends(self, documents) -> None:
-        """Build and attach the SS9 typed keyword backends.
-
-        ``documents`` is an iterable with ``doc_id`` / ``text``
-        attributes (usually the corpus the index was built from).
-        Clients then use :meth:`TiptoeClient.search_hybrid`.
-        """
-        from repro.core.exact_backend import ExactSearchSuite
-
-        self.exact_suite = ExactSearchSuite.build(documents)
 
     # -- client-side helpers -------------------------------------------------------
 

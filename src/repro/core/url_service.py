@@ -8,7 +8,7 @@ containing its best result and reads the top-k URLs out of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

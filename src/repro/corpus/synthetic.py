@@ -19,7 +19,7 @@ own topical words, so the URL service's "group by content" batching
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

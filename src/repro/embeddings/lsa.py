@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.linalg import svds
 
 from repro.embeddings.tfidf import TfidfModel

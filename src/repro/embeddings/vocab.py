@@ -10,7 +10,7 @@ many document-specific keywords.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass

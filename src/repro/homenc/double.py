@@ -525,14 +525,13 @@ class DoubleLheScheme:
 
     # -- client-side recovery ---------------------------------------------------
 
-    def decrypt_hint_product(
-        self, keys: ClientKeys, compressed: CompressedHint
-    ) -> np.ndarray:
-        """Recover ``H' s mod T`` (one value per hint row).
+    def check_generation(self, compressed: CompressedHint) -> None:
+        """Raise :class:`GenerationMismatchError` unless the hint was
+        minted against the held ``a``-product (:meth:`adopt_a_product`).
 
-        Pairs the hint's ``b`` halves with the held ``a``-product
-        (:meth:`adopt_a_product`); a hint minted against another one
-        raises :class:`GenerationMismatchError`.
+        Only the digests are compared, so this is safe before
+        :meth:`check_hint` and tells a stale generation apart from a
+        malformed hint even when the new hint's height differs too.
         """
         held = self.held_a_product
         if held is None:
@@ -546,9 +545,20 @@ class DoubleLheScheme:
                 f" {compressed.a_digest.hex()}, this client holds"
                 f" {held.digest.hex()}: another index generation's"
             )
+
+    def decrypt_hint_product(
+        self, keys: ClientKeys, compressed: CompressedHint
+    ) -> np.ndarray:
+        """Recover ``H' s mod T`` (one value per hint row).
+
+        Pairs the hint's ``b`` halves with the held ``a``-product
+        (:meth:`adopt_a_product`); a hint minted against another one
+        raises :class:`GenerationMismatchError`.
+        """
+        self.check_generation(compressed)
         pieces = [
             self.outer.decrypt(keys.outer, BfvCiphertext(b=b, a=a))
-            for b, a in zip(compressed.b, held.words)
+            for b, a in zip(compressed.b, self.held_a_product.words)
         ]
         flat = np.concatenate(pieces)[: compressed.rows]
         return flat.astype(np.uint64)

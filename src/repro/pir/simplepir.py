@@ -20,9 +20,9 @@ from functools import cached_property
 import numpy as np
 
 from repro.homenc.double import DoubleLheParams, DoubleLheScheme
-from repro.lwe import modular, sampling
+from repro.lwe import sampling
 from repro.lwe.params import LweParams, SecurityLevel, select_params
-from repro.lwe.regev import Ciphertext, SecretKey
+from repro.lwe.regev import Ciphertext
 from repro.pir.database import PackedDatabase
 
 

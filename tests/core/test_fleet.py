@@ -45,8 +45,7 @@ NUM_SHARDS = 3
 REPLICAS = 2
 
 
-@pytest.fixture(scope="module")
-def index():
+def build_index(seed):
     corpus = SyntheticCorpus.generate(
         SyntheticCorpusConfig(num_docs=100, seed=0)
     )
@@ -54,8 +53,13 @@ def index():
         corpus.texts(),
         corpus.urls(),
         TiptoeConfig(),
-        rng=np.random.default_rng(0),
+        rng=np.random.default_rng(seed),
     )
+
+
+@pytest.fixture(scope="module")
+def index():
+    return build_index(0)
 
 
 class FakeWorkerFleet:
@@ -542,6 +546,94 @@ class TestSwapProtocol:
             router.close()
             fake_a.close()
             fake_b.close()
+
+    def test_stale_a_products_are_refused_pinned_sessions_drain(self):
+        """After a cut-over to an index with another ``a_seed``, an
+        unpinned client still holding the old ``a``-products gets a
+        typed error from its next mint, never a token; a session pinned
+        to the old generation keeps minting and searching bit-identically
+        until that generation is retired."""
+        from repro.homenc import GenerationMismatchError
+
+        # Fresh indexes: the engines below must fetch the old
+        # generation's a-products through the router, not inherit ones
+        # another test made the module fixture's schemes adopt.
+        old, new = build_index(1), build_index(2)
+        digests = [
+            (i.ranking_scheme.a_product(i.ranking_prep).digest,
+             i.url_scheme.a_product(i.url_prep).digest)
+            for i in (old, new)
+        ]
+        assert digests[0][0] != digests[1][0]
+        assert digests[0][1] != digests[1][1]
+
+        def rehost(fake, host, generation):
+            return GenerationSpec(
+                generation=generation,
+                shards=tuple(
+                    ShardSpec(
+                        shard=s.shard,
+                        replicas=tuple(
+                            ReplicaSpec(host, r.port) for r in s.replicas
+                        ),
+                    )
+                    for s in fake.spec.shards
+                ),
+            )
+
+        fakes = {
+            "old": FakeWorkerFleet(old, num_shards=1, replicas=1),
+            "new": FakeWorkerFleet(new, num_shards=1, replicas=1),
+        }
+        router = FleetRouter(
+            FleetConfig(health_interval_s=0.05),
+            transport_factory=lambda spec: (
+                fakes[spec.host].transport_factory(spec)
+            ),
+        )
+        text = "synthetic query about documents"
+        unpinned = pinned = None
+        try:
+            router.add_generation(
+                rehost(fakes["old"], "old", "deadbeef"), make_current=True
+            )
+            router.add_generation(rehost(fakes["new"], "new", "beefcafe"))
+            unpinned = TiptoeEngine(old, transport=RouterTransport(router))
+            held = old.url_scheme.held_a_product
+            assert held is not None and held.digest == digests[0][1]
+            pinned = TiptoeEngine(
+                old,
+                transport=TaggedTransport(RouterTransport(router), "deadbeef"),
+            )
+
+            def session(engine):
+                token = engine.mint_token(np.random.default_rng(3))
+                result = engine.search(text, np.random.default_rng(7))
+                return token.hint_products, [
+                    (r.position, r.score, r.url) for r in result.results
+                ]
+
+            products, results = session(pinned)
+            router.cut_over("beefcafe")
+
+            with pytest.raises(GenerationMismatchError, match="another index"):
+                unpinned.mint_token(np.random.default_rng(3))
+
+            after, after_results = session(pinned)
+            assert after_results == results
+            for name in ("ranking", "url"):
+                np.testing.assert_array_equal(after[name], products[name])
+
+            router.retire_generation("deadbeef")
+            with pytest.raises(UnknownGeneration):
+                pinned.mint_token(np.random.default_rng(3))
+        finally:
+            for engine in (unpinned, pinned):
+                if engine is not None:
+                    engine.close()
+            router.close()
+            for fake in fakes.values():
+                fake.close()
 
     def test_cut_over_to_unknown_generation_rejected(self, fleet):
         fake, router = fleet

@@ -7,7 +7,6 @@ server-visible ciphertexts must carry no plaintext query material.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.ranking import build_query_vector
 from repro.embeddings.quantize import quantize

@@ -151,3 +151,39 @@ class TestImagePipeline:
             if img in engine.result_doc_ids(result)[:10]:
                 hits += 1
         assert hits >= 2
+
+
+class TestMultiprobeQuality:
+    """SS8.2: more probed clusters -> better quality, linear cost."""
+
+    def test_probes_lift_mrr(self, corpus, query_benchmark):
+        from repro.evalx.metrics import mrr_at_k
+        from repro.evalx.quality import TiptoeQualitySim
+
+        sim1 = TiptoeQualitySim.build(
+            corpus.texts(),
+            corpus.urls(),
+            TiptoeConfig(target_cluster_size=8),
+            rng=np.random.default_rng(3),
+        )
+        sim4 = TiptoeQualitySim(index=sim1.index, mode="cluster+batch", probes=4)
+        targets = [q.target_doc_id for q in query_benchmark.queries]
+        mrr1 = mrr_at_k(
+            [sim1.rank(q.text) for q in query_benchmark.queries], targets
+        )
+        mrr4 = mrr_at_k(
+            [sim4.rank(q.text) for q in query_benchmark.queries], targets
+        )
+        assert mrr4 >= mrr1
+
+    def test_probe_validation(self, corpus):
+        from repro.evalx.quality import TiptoeQualitySim
+
+        sim = TiptoeQualitySim.build(
+            corpus.texts()[:50],
+            corpus.urls()[:50],
+            TiptoeConfig(),
+            rng=np.random.default_rng(4),
+        )
+        with pytest.raises(ValueError):
+            TiptoeQualitySim(index=sim.index, probes=0)

@@ -1,7 +1,6 @@
 """Tests for the tf-idf and BM25 retrieval baselines."""
 
 import numpy as np
-import pytest
 
 from repro.embeddings import Bm25Retriever, TfidfRetriever
 

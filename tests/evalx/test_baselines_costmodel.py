@@ -9,7 +9,7 @@ from repro.evalx.baselines import (
     LatentOracleRetriever,
     client_side_index_bytes,
 )
-from repro.evalx.costmodel import GIB, MIB, PaperScaleModel, TiptoeCostModel
+from repro.evalx.costmodel import GIB, PaperScaleModel, TiptoeCostModel
 
 PAPER_TEXT_DOCS = 364_000_000
 

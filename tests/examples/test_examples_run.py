@@ -27,4 +27,12 @@ def test_example_runs(path, monkeypatch, capsys):
 
 
 def test_all_examples_discovered():
-    assert len(EXAMPLES) >= 7
+    # An exact list: adding or deleting an example is a deliberate edit.
+    assert [p.stem for p in EXAMPLES] == [
+        "deployment_planner",
+        "private_ads",
+        "private_image_search",
+        "private_recommendations",
+        "private_text_search",
+        "quickstart",
+    ]

@@ -8,7 +8,6 @@ the budget.
 """
 
 import numpy as np
-import pytest
 
 from repro.lwe import LweParams, RegevScheme
 from repro.lwe.params import max_plaintext_modulus, noise_bound

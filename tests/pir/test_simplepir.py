@@ -1,6 +1,5 @@
 """Integration tests for the SimplePIR protocol."""
 
-import numpy as np
 import pytest
 
 from repro.lwe.sampling import seeded_rng
