@@ -79,7 +79,7 @@ class ShardedRankingService(Service):
         endpoint.register("answer", self._handle_answer)
         endpoint.register("answer_batch", self._handle_answer_batch)
 
-    def _handle_answer(self, payload: bytes) -> bytes:
+    def _handle_answer(self, payload: memoryview) -> bytes:
         inner = self.scheme.params.inner
         query = RankingQuery(ciphertext=wire.decode_ciphertext(payload, inner))
         scheduler = self.scheduler
@@ -89,7 +89,7 @@ class ShardedRankingService(Service):
             answer = self.answer(query)
         return wire.encode_answer(answer.values, inner.q_bits)
 
-    def _handle_answer_batch(self, payload: bytes) -> bytes:
+    def _handle_answer_batch(self, payload: memoryview) -> bytes:
         inner = self.scheme.params.inner
         answer = self.answer_stacked(wire.decode_batch(payload, inner))
         return wire.encode_batch_answer(answer, inner.q_bits)

@@ -290,7 +290,7 @@ class ReplicaClient:
             "_meta", rpc.frame("health", b""), timeout=timeout
         )
         _, body = rpc.unframe(response)
-        return json.loads(body.decode())
+        return json.loads(bytes(body))
 
     def health_snapshot(self) -> dict:
         with self._lock:
@@ -382,10 +382,10 @@ class FleetRouter(Service):
         endpoint.register("cut_over", self._handle_cut_over)
         endpoint.register("retire", self._handle_retire)
 
-    def _handle_health(self, payload: bytes) -> bytes:
+    def _handle_health(self, payload: memoryview) -> bytes:
         return json.dumps(self.health(), sort_keys=True).encode()
 
-    def _handle_generations(self, payload: bytes) -> bytes:
+    def _handle_generations(self, payload: memoryview) -> bytes:
         with self._lock:
             data = {
                 "current": self._current,
@@ -395,19 +395,19 @@ class FleetRouter(Service):
             }
         return json.dumps(data, sort_keys=True).encode()
 
-    def _handle_add_generation(self, payload: bytes) -> bytes:
-        spec = GenerationSpec.from_json(json.loads(payload.decode()))
+    def _handle_add_generation(self, payload: memoryview) -> bytes:
+        spec = GenerationSpec.from_json(json.loads(bytes(payload)))
         self.add_generation(spec)
         self.warm_generation(spec.generation)
         return json.dumps({"generation": spec.generation}).encode()
 
-    def _handle_cut_over(self, payload: bytes) -> bytes:
-        generation = json.loads(payload.decode())["generation"]
+    def _handle_cut_over(self, payload: memoryview) -> bytes:
+        generation = json.loads(bytes(payload))["generation"]
         self.cut_over(generation)
         return json.dumps({"current": generation}).encode()
 
-    def _handle_retire(self, payload: bytes) -> bytes:
-        generation = json.loads(payload.decode())["generation"]
+    def _handle_retire(self, payload: memoryview) -> bytes:
+        generation = json.loads(bytes(payload))["generation"]
         self.retire_generation(generation)
         return json.dumps({"retired": generation}).encode()
 

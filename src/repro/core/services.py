@@ -55,17 +55,17 @@ class TokenMintService(Service):
         endpoint.register("mint_many", self._handle_mint_many)
         endpoint.register("a_products", self._handle_a_products)
 
-    def _handle_a_products(self, payload: bytes) -> bytes:
+    def _handle_a_products(self, payload: memoryview) -> bytes:
         if payload:
             raise ValueError("a_products takes an empty request")
         return wire.encode_a_products(self.token_factory.a_products())
 
-    def _handle_mint(self, payload: bytes) -> bytes:
+    def _handle_mint(self, payload: memoryview) -> bytes:
         enc_keys = wire.decode_mint_request(payload)
         minted = self.token_factory.mint(enc_keys)
         return wire.encode_token_payload(minted)
 
-    def _handle_mint_many(self, payload: bytes) -> bytes:
+    def _handle_mint_many(self, payload: memoryview) -> bytes:
         enc_keys_list = wire.decode_mint_many_request(payload)
         minted = self.token_factory.mint_many(enc_keys_list)
         return wire.encode_mint_many_payload(minted)
@@ -87,13 +87,13 @@ class HintService(Service):
         endpoint.register("ranking", self._handle_ranking_hint)
         endpoint.register("url", self._handle_url_hint)
 
-    def _handle_ranking_hint(self, payload: bytes) -> bytes:
+    def _handle_ranking_hint(self, payload: memoryview) -> bytes:
         return wire.encode_matrix(
             self.index.ranking_prep.hint,
             self.index.ranking_scheme.params.inner.q_bits,
         )
 
-    def _handle_url_hint(self, payload: bytes) -> bytes:
+    def _handle_url_hint(self, payload: memoryview) -> bytes:
         return wire.encode_matrix(
             self.index.url_prep.hint,
             self.index.url_scheme.params.inner.q_bits,

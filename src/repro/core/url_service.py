@@ -60,7 +60,7 @@ class UrlService(Service):
     def register_endpoint(self, endpoint: ServiceEndpoint) -> None:
         endpoint.register("answer", self._handle_answer)
 
-    def _handle_answer(self, payload: bytes) -> bytes:
+    def _handle_answer(self, payload: memoryview) -> bytes:
         ct = wire.decode_ciphertext(payload, self.scheme.params.inner)
         answer = self.answer(PirQuery(ciphertext=ct))
         return wire.encode_answer(

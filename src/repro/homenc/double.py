@@ -190,6 +190,28 @@ class CompressedHint:
         return self.b.size * RESIDUE_BYTES
 
 
+#: Hint NTT words enter the key products as two limbs of this many
+#: bits, so every sum over the inner dimension fits uint64 unreduced.
+LIMB_BITS = 15
+
+#: Inner-dimension rows per pass: one block of the hint-NTT limbs and
+#: each key's matching rows stay cache-resident while they are
+#: multiplied (measured: 32-64 rows beat whole-chunk blocks by ~2x).
+LIMB_BLOCK = 32
+
+
+def _split_limbs(c_ntts: np.ndarray) -> np.ndarray:
+    """Hint NTTs ``(..., k, n_inner, n)`` as their low and high
+    :data:`LIMB_BITS`-bit limbs, ``(..., 2, k, n_inner, n)``: one pass."""
+    lead = c_ntts.shape[:-3]
+    limbs = np.empty(lead + (2,) + c_ntts.shape[-3:], dtype=np.uint64)
+    np.bitwise_and(
+        c_ntts, np.uint64((1 << LIMB_BITS) - 1), out=limbs[..., 0, :, :, :]
+    )
+    np.right_shift(c_ntts, np.uint64(LIMB_BITS), out=limbs[..., 1, :, :, :])
+    return limbs
+
+
 @dataclass(frozen=True)
 class PreprocessedMatrix:
     """Server-side state for one plaintext matrix M: hint + switched hint.
@@ -206,39 +228,41 @@ class PreprocessedMatrix:
     rows: int
     hint_ntt: np.ndarray | None = None
 
-
-#: Hint NTT words enter the key products as two limbs of this many
-#: bits, so every sum over the inner dimension fits uint64 unreduced.
-LIMB_BITS = 15
-
-#: Inner-dimension rows per pass: one block of the hint NTTs, its limbs
-#: and each key's matching rows stay cache-resident while they are
-#: multiplied (measured: 32-64 rows beat whole-chunk limbs by ~2x).
-LIMB_BLOCK = 32
+    @cached_property
+    def hint_limbs(self) -> np.ndarray | None:
+        """``hint_ntt`` split into the limbs the key products multiply
+        (:func:`_split_limbs`), shape ``(n_chunks, 2, k, n_inner,
+        n_outer)``: split on first use, once per generation, and kept
+        read-only.  ``None`` without the table."""
+        if self.hint_ntt is None:
+            return None
+        limbs = _split_limbs(self.hint_ntt)
+        limbs.flags.writeable = False
+        return limbs
 
 
 def _key_products(
-    keys: Sequence[np.ndarray], c_ntts: np.ndarray, primes: np.ndarray
+    keys: Sequence[np.ndarray], limbs: np.ndarray, primes: np.ndarray
 ) -> np.ndarray:
     """``sum_i z[i] * C[:, i] mod p`` for each ``z`` of ``keys``.
 
     Every ``z`` is ``(n_inner, k, n)`` with residues < p
-    (``check_key``); ``C`` is a chunk's ``(k, n_inner, n)`` hint NTTs.
-    The result is ``(len(keys), k, n)``, all primes at once.  ``C``
-    enters as two :data:`LIMB_BITS`-bit limbs, split once per block of
-    rows for all keys; a residue times a limb, summed over the n_inner
-    rows, stays below 2^64 (checked when the scheme is built), so each
-    limb sum needs one reduction at the end.
+    (``check_key``), uint64 or the u32 words a key arrives as;
+    ``limbs`` is a chunk's ``(k, n_inner, n)`` hint NTTs ``C`` split
+    into two :data:`LIMB_BITS`-bit limbs (:func:`_split_limbs`).  The
+    result is ``(len(keys), k, n)``, all primes at once.  Each block of
+    a key's rows is widened to uint64 only where it is multiplied, so
+    a u32 key is never widened whole.  A residue times a limb, summed
+    over the n_inner rows, stays below 2^64 (checked when the scheme
+    is built), so each limb sum needs one reduction at the end.
     """
-    k, n_inner, n = c_ntts.shape
-    mask = np.uint64((1 << LIMB_BITS) - 1)
+    _, k, n_inner, n = limbs.shape
     sums = np.zeros((len(keys), 2, k, n), dtype=np.uint64)
     for start in range(0, n_inner, LIMB_BLOCK):
-        rows = c_ntts[:, start : start + LIMB_BLOCK]
-        limbs = (rows & mask, rows >> np.uint64(LIMB_BITS))
+        block_limbs = limbs[:, :, start : start + LIMB_BLOCK]
         for acc, z in zip(sums, keys):
-            block = z[start : start + LIMB_BLOCK]
-            for half, limb in zip(acc, limbs):
+            block = z[start : start + LIMB_BLOCK].astype(np.uint64, copy=False)
+            for half, limb in zip(acc, block_limbs):
                 half += np.einsum("ikn,kin->kn", block, limb)
     lo, hi = sums[:, 0] % primes, sums[:, 1] % primes
     return (lo + (hi << np.uint64(LIMB_BITS))) % primes
@@ -312,16 +336,23 @@ class DoubleLheScheme:
         return EncryptedKey(z_b=z_b)
 
     def _check_residues(
-        self, words: np.ndarray, want: tuple, what: str
+        self,
+        words: np.ndarray,
+        want: tuple,
+        what: str,
+        dtypes: tuple = (np.dtype(np.uint64),),
     ) -> None:
         """Reject a residue stack of the wrong shape or dtype, or with a
-        residue >= its RNS prime; its last two axes are ``(k, n)``."""
-        if words.shape != want or words.dtype != np.uint64:
+        residue >= its RNS prime; its shape is ``(m, k, n)``, so one
+        maximum per prime decides."""
+        if words.shape != want or words.dtype not in dtypes:
+            expected = " or ".join(dtype.name for dtype in dtypes)
             raise ValueError(
-                f"{what} is {words.dtype} {words.shape}, expected uint64"
-                f" {want}"
+                f"{what} is {words.dtype} {words.shape}, expected"
+                f" {expected} {want}"
             )
-        if not (words < self.outer.ring.prime_column).all():
+        top = words.max(axis=(0, 2), initial=0)
+        if not (top < self.outer.ring.prime_column[:, 0]).all():
             raise ValueError(
                 f"{what} has residues outside [0, p) for its RNS prime"
             )
@@ -341,13 +372,17 @@ class DoubleLheScheme:
 
         Keys arrive from clients: a wrong shape would broadcast into a
         silently wrong token, and residues >= p would break the
-        accumulation bound of :func:`_key_products`.
+        accumulation bound of :func:`_key_products`.  ``z_b`` may be
+        the read-only u32 view a decoded upload is
+        (:func:`repro.net.wire.decode_encrypted_key`); it is checked as
+        it is, never widened.
         """
         ring = self.outer.ring
         self._check_residues(
             enc_key.z_b,
             (self.params.inner.n, ring.k, ring.n),
             "encrypted key z_b",
+            dtypes=(np.dtype(np.uint32), np.dtype(np.uint64)),
         )
 
     def check_hint(self, compressed: CompressedHint, rows: int) -> None:
@@ -455,19 +490,24 @@ class DoubleLheScheme:
 
         The plaintext polynomials ``C_i`` -- and their forward NTTs, the
         dominant per-chunk cost -- depend only on the hint block, so
-        they are computed (or read from the sidecar table) once per
-        chunk for all of ``zs``.
+        they are computed and split into limbs once per chunk for all
+        of ``zs``; with the sidecar table the limbs are
+        ``prep.hint_limbs``, split once per generation.
         """
         ring = self.outer.ring
         starts = range(0, prep.rows, self.params.outer_n)
+        table = prep.hint_limbs
         out = np.empty((len(zs), len(starts), ring.k, ring.n), np.uint64)
         for idx, start in enumerate(starts):
             # Kernel timer: the BFV homomorphic evaluation (one outer
             # ciphertext half per chunk and key) is the token path's
             # hot loop.
             with _obs.kernel_timer("bfv.apply"):
-                c_ntts = self._chunk_c_ntts(prep, idx, start)
-                out[:, idx] = _key_products(zs, c_ntts, ring.prime_column)
+                if table is None:
+                    limbs = _split_limbs(self._chunk_c_ntts(prep, idx, start))
+                else:
+                    limbs = table[idx]
+                out[:, idx] = _key_products(zs, limbs, ring.prime_column)
         return out
 
     def a_product(

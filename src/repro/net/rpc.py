@@ -30,12 +30,13 @@ _FRAME = struct.Struct("<16sI")
 MAX_METHOD_BYTES = 16
 
 
-def frame(method: str, payload: bytes) -> bytes:
+def frame(method: str, payload) -> bytes:
     """Length-prefixed message framing: [method:16][len:4][payload].
 
-    Method names longer than the 16-byte header field are rejected
-    rather than truncated: silent truncation made two long names alias
-    to the same handler on dispatch.
+    ``payload`` is any bytes-like object, copied once behind the
+    header.  Method names longer than the 16-byte header field are
+    rejected rather than truncated: silent truncation made two long
+    names alias to the same handler on dispatch.
     """
     name = method.encode()
     if len(name) > MAX_METHOD_BYTES:
@@ -46,17 +47,19 @@ def frame(method: str, payload: bytes) -> bytes:
     return _FRAME.pack(name.ljust(MAX_METHOD_BYTES, b"\0"), len(payload)) + payload
 
 
-def unframe(blob: bytes) -> tuple[str, bytes]:
+def unframe(blob) -> tuple[str, memoryview]:
     """Parse one frame; the blob must be exactly header + payload.
 
-    Rejects both truncation (payload shorter than declared) and
-    trailing garbage (payload longer than declared): a frame that
+    The payload comes back as a ``memoryview`` slice of ``blob``, never
+    a copy.  Rejects both truncation (payload shorter than declared)
+    and trailing garbage (payload longer than declared): a frame that
     round-trips is byte-identical to what ``frame`` produced.
     """
-    if len(blob) < _FRAME.size:
+    view = memoryview(blob).cast("B")
+    if len(view) < _FRAME.size:
         raise ValueError("truncated RPC frame")
-    name, length = _FRAME.unpack_from(blob)
-    payload = blob[_FRAME.size :]
+    name, length = _FRAME.unpack_from(view)
+    payload = view[_FRAME.size :]
     if len(payload) < length:
         raise ValueError("truncated RPC frame")
     if len(payload) > length:
@@ -69,17 +72,25 @@ def unframe(blob: bytes) -> tuple[str, bytes]:
 
 @dataclass
 class ServiceEndpoint:
-    """One service: a dispatch table of method -> handler(bytes)->bytes."""
+    """One service: a dispatch table of method -> handler(payload)->bytes.
+
+    A handler gets its request payload as a ``memoryview``
+    (:func:`unframe`): a slice of the buffer the request arrived in.
+    """
 
     name: str
-    handlers: dict[str, Callable[[bytes], bytes]] = field(default_factory=dict)
+    handlers: dict[str, Callable[[memoryview], bytes]] = field(
+        default_factory=dict
+    )
 
-    def register(self, method: str, handler: Callable[[bytes], bytes]) -> None:
+    def register(
+        self, method: str, handler: Callable[[memoryview], bytes]
+    ) -> None:
         if method in self.handlers:
             raise ValueError(f"method {method!r} already registered")
         self.handlers[method] = handler
 
-    def dispatch(self, request: bytes) -> bytes:
+    def dispatch(self, request) -> bytes:
         method, payload = unframe(request)
         handler = self.handlers.get(method)
         if handler is None:
@@ -114,9 +125,11 @@ class RpcChannel:
         service: str,
         phase: str,
         method: str,
-        payload: bytes,
+        payload,
         timeout: float | None = None,
-    ) -> bytes:
+    ) -> memoryview:
+        """Frame ``payload`` (bytes-like), send it and return the
+        response body: a ``memoryview`` of the received frame."""
         request = frame(method, payload)
         with obs.span(
             "rpc.call", service=service, phase=phase, method=method

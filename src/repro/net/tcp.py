@@ -15,7 +15,8 @@ The wire format wraps every RPC message (already framed by
   whose payload is a UTF-8 message (not retryable: the request arrived
   intact, so resending the same bytes would fail the same way).
 * ``length`` is validated against :data:`MAX_FRAME_PAYLOAD` before any
-  allocation, so a corrupt header cannot request an absurd buffer.
+  allocation, and the payload buffer's pages are committed only as
+  bytes arrive, so a corrupt header cannot pin an absurd buffer.
 
 :class:`SocketTransport` is the client side (per-call deadlines,
 stale-response rejection); :class:`ServerRunner` binds any set of
@@ -34,8 +35,11 @@ import json
 import socket
 import struct
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable
+
+import numpy as np
 
 from repro.net.rpc import ServiceEndpoint
 from repro.net.service import Service
@@ -101,52 +105,92 @@ class FrameConnection:
         return cls(sock)
 
     def send_frame(
-        self, request_id: int, service: str, status: int, payload: bytes
+        self, request_id: int, service: str, status: int, payload
     ) -> None:
+        """Send one frame: header and ``payload`` (any bytes-like)
+        scatter-gather, never concatenated.
+
+        The socket's timeout bounds the whole frame, as it bounds one
+        ``sendall``: whatever one ``sendmsg`` leaves unsent goes out
+        under what is left of that deadline, not under a fresh one.
+        """
         if len(payload) > MAX_FRAME_PAYLOAD:
             raise ValueError("frame payload exceeds the protocol maximum")
         header = _SOCK_HEADER.pack(
             request_id, _pack_service(service), status, len(payload)
         )
         try:
-            self._sock.sendall(header + payload)
+            self._send_parts(header, payload)
         except socket.timeout as exc:
             raise TransportTimeout("send timed out") from exc
         except (ConnectionError, BrokenPipeError, OSError) as exc:
             raise TransportConnectionLost(f"send failed: {exc}") from exc
 
-    def _recv_exact(self, num_bytes: int) -> bytes:
-        chunks = []
-        remaining = num_bytes
-        while remaining > 0:
+    def _send_parts(self, header: bytes, payload) -> None:
+        sock = self._sock
+        timeout = sock.gettimeout()
+        started = time.monotonic()
+        sent = sock.sendmsg([header, payload])
+        if sent == len(header) + len(payload):
+            return
+        try:
+            for part in (memoryview(header), memoryview(payload)):
+                if sent >= len(part):
+                    sent -= len(part)
+                    continue
+                if timeout is not None:
+                    left = timeout - (time.monotonic() - started)
+                    if left <= 0:
+                        raise socket.timeout("send deadline elapsed")
+                    sock.settimeout(left)
+                sock.sendall(part[sent:])
+                sent = 0
+        finally:
+            sock.settimeout(timeout)
+
+    def _recv_into(self, buf: memoryview) -> None:
+        pos = 0
+        while pos < len(buf):
             try:
-                chunk = self._sock.recv(remaining)
+                got = self._sock.recv_into(buf[pos:])
             except socket.timeout as exc:
                 raise TransportTimeout("receive timed out") from exc
             except (ConnectionError, OSError) as exc:
                 raise TransportConnectionLost(
                     f"receive failed: {exc}"
                 ) from exc
-            if not chunk:
+            if not got:
                 raise TransportConnectionLost("connection closed by peer")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+            pos += got
 
     def recv_frame(
         self, timeout: float | None = None
-    ) -> tuple[int, str, int, bytes]:
-        """One (request_id, service, status, payload) frame."""
+    ) -> tuple[int, str, int, memoryview]:
+        """One (request_id, service, status, payload) frame.
+
+        The payload is received in place into one buffer and handed
+        back as a read-only ``memoryview`` of it.  The buffer is
+        ``np.empty``: the OS commits its pages only as bytes arrive, so
+        a header that declares a large payload and then stalls or
+        closes pins no memory.
+        """
         self._sock.settimeout(timeout)
-        header = self._recv_exact(_SOCK_HEADER.size)
+        header = bytearray(_SOCK_HEADER.size)
+        self._recv_into(memoryview(header))
         request_id, service, status, length = _SOCK_HEADER.unpack(header)
         if length > MAX_FRAME_PAYLOAD:
             raise TransportError(
                 f"frame declares {length} payload bytes, maximum is"
                 f" {MAX_FRAME_PAYLOAD}"
             )
-        payload = self._recv_exact(length) if length else b""
-        return request_id, service.rstrip(b"\0").decode(), status, payload
+        payload = memoryview(np.empty(length, dtype=np.uint8))
+        self._recv_into(payload)
+        return (
+            request_id,
+            service.rstrip(b"\0").decode(),
+            status,
+            payload.toreadonly(),
+        )
 
     def close(self) -> None:
         try:
@@ -226,7 +270,7 @@ class SocketTransport:
                         continue
                     if status != STATUS_OK:
                         raise RemoteCallError(
-                            payload.decode("utf-8", errors="replace")
+                            str(payload, "utf-8", errors="replace")
                         )
                     return payload
             except RemoteCallError:
@@ -236,7 +280,7 @@ class SocketTransport:
                 raise
             except TransportError:
                 # Anything else -- a timeout that may have struck
-                # mid-frame in ``_recv_exact``, a corrupt length field,
+                # mid-frame in ``_recv_into``, a corrupt length field,
                 # a reset -- can leave partial header/payload bytes in
                 # the stream.  Reusing the connection would misparse
                 # those leftovers as the next frame header, so drop it;
@@ -423,7 +467,7 @@ class ServerRunner:
         endpoint.register("health", self._handle_health)
         return endpoint
 
-    def _handle_health(self, payload: bytes) -> bytes:
+    def _handle_health(self, payload: memoryview) -> bytes:
         # Per-service isolation: one service whose health() raises must
         # not take down the whole endpoint -- the fleet router keys its
         # failover decisions on this report, so a half-sick worker has

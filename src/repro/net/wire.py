@@ -13,16 +13,21 @@ protocol version:
 * RLWE ciphertexts: [u16 k][u32 n][k*n u32 b][k*n u32 a]
 
 Outer (RLWE) residues are below their < 2^31 NTT primes, so they
-travel as u32: encoders narrow once, decoders widen once into the
-uint64 arrays the kernels use.
+travel as u32: encoders narrow once, straight into the buffer that is
+sent, and decoders widen once into the uint64 arrays the kernels use
+-- except an encrypted key, which the server checks and multiplies as
+the u32 words it arrived as.
 
 Every decoder validates declared lengths against the actual payload
 *before* touching ``np.frombuffer`` and raises a ``ValueError`` that
 names both sizes -- a truncated or corrupted frame (from a flaky
 transport, a crashed peer, or a malicious server) fails loudly instead
 of surfacing as an opaque numpy error or, worse, a misshaped array.
-Decoded arrays are always fresh writable copies, never read-only views
-into the network buffer.
+Decoded arrays are fresh writable copies, with one exception: an
+encrypted key's ``z_b`` is a read-only u32 view into the request
+buffer -- the largest upload of the protocol is never copied.
+Length-prefixed fields are sliced out as ``memoryview``s, never
+copied.
 """
 
 from __future__ import annotations
@@ -219,16 +224,25 @@ def _residue_blob(header: bytes, words: np.ndarray) -> bytearray:
     return out
 
 
-def _get_residues(
-    blob: bytes, offset: int, shape: tuple[int, ...], what: str
+def _residue_view(
+    blob, offset: int, shape: tuple[int, ...], what: str
 ) -> np.ndarray:
-    """Widen the u32 residues of a ``shape`` stack at ``offset`` into a
-    fresh uint64 array; the stack must end the payload exactly."""
+    """The u32 residues of a ``shape`` stack at ``offset``, as a
+    read-only view of ``blob``; the stack must end the payload
+    exactly."""
     count = math.prod(shape)
     _require_words(blob, offset, count, _RESIDUE.itemsize, what)
     _require_end(blob, offset + count * _RESIDUE.itemsize, what)
     words = np.frombuffer(blob, dtype=_RESIDUE, offset=offset, count=count)
-    return words.astype(np.uint64).reshape(shape)
+    words.flags.writeable = False
+    return words.reshape(shape)
+
+
+def _get_residues(
+    blob, offset: int, shape: tuple[int, ...], what: str
+) -> np.ndarray:
+    """:func:`_residue_view` widened into a fresh uint64 array."""
+    return _residue_view(blob, offset, shape, what).astype(np.uint64)
 
 
 def encode_rlwe(ct: BfvCiphertext) -> bytearray:
@@ -276,14 +290,16 @@ def _unpack_str(blob: bytes, pos: int) -> tuple[str, int]:
             f"string field: payload is {len(blob) - pos} bytes,"
             f" expected {length}"
         )
-    return blob[pos : pos + length].decode(), pos + length
+    return str(blob[pos : pos + length], "utf-8"), pos + length
 
 
-def _pack_blob(data: bytes) -> bytes:
-    return _U32.pack(len(data)) + data
+def _blob_parts(data) -> list:
+    """A length-prefixed blob field, ``[u32 len][data]``, as parts for
+    one ``b"".join``: ``data`` is copied once, into the joined buffer."""
+    return [_U32.pack(len(data)), data]
 
 
-def _unpack_blob(blob: bytes, pos: int) -> tuple[bytes, int]:
+def _unpack_blob(blob, pos: int) -> tuple[memoryview, int]:
     if len(blob) - pos < _U32.size:
         raise ValueError(
             f"blob field: payload is {len(blob) - pos} bytes at offset"
@@ -296,14 +312,16 @@ def _unpack_blob(blob: bytes, pos: int) -> tuple[bytes, int]:
             f"blob field: payload is {len(blob) - pos} bytes,"
             f" expected {length}"
         )
-    return blob[pos : pos + length], pos + length
+    return memoryview(blob)[pos : pos + length], pos + length
 
 
-def encode_mint_request(enc_keys: dict) -> bytes:
+def encode_mint_request(enc_keys: dict) -> bytearray:
     """Serialize a token-mint request.
 
     Shared keys (Appendix A.3) are uploaded once: the format lists the
     unique encrypted keys, then maps each service name to one of them.
+    Each key's residues are narrowed once, straight into the one
+    buffer the request is sent from.
     """
     unique: list = []
     key_index: dict[int, int] = {}
@@ -311,20 +329,30 @@ def encode_mint_request(enc_keys: dict) -> bytes:
         if id(key) not in key_index:
             key_index[id(key)] = len(unique)
             unique.append(key)
-    parts = [_U16.pack(len(unique))]
-    parts += [_pack_blob(encode_encrypted_key(k)) for k in unique]
-    parts.append(_U16.pack(len(enc_keys)))
+    service_map = [_U16.pack(len(enc_keys))]
     for name, key in enc_keys.items():
-        parts.append(_pack_str(name))
-        parts.append(_U16.pack(key_index[id(key)]))
-    return b"".join(parts)
+        service_map.append(_pack_str(name))
+        service_map.append(_U16.pack(key_index[id(key)]))
+    tail = b"".join(service_map)
+    sizes = [_encrypted_key_bytes(key.z_b) for key in unique]
+    out = bytearray(_U16.size + sum(_U32.size + n for n in sizes) + len(tail))
+    _U16.pack_into(out, 0, len(unique))
+    pos = _U16.size
+    for key, size in zip(unique, sizes):
+        _U32.pack_into(out, pos, size)
+        pos = _put_encrypted_key(out, pos + _U32.size, key.z_b)
+    out[pos:] = tail
+    return out
 
 
 def decode_mint_request(blob: bytes) -> dict:
     """Decode a mint request: every key is referenced by exactly the
     services that name it, each service is named once, and nothing
     follows the service map.  Keys are decoded only after the map has
-    been checked -- an unreferenced upload is refused, never decoded."""
+    been checked -- an unreferenced upload is refused, never decoded --
+    and a malformed one is refused naming the services that use it.
+    Each key's ``z_b`` is a read-only view of ``blob``
+    (:func:`decode_encrypted_key`)."""
     _require_header(blob, _U16, "mint request")
     (num_unique,) = _U16.unpack_from(blob)
     pos = _U16.size
@@ -357,17 +385,28 @@ def decode_mint_request(blob: bytes) -> dict:
         raise ValueError(
             f"mint request: keys {unused} are referenced by no service"
         )
-    keys = [decode_encrypted_key(data) for data in uploads]
+    keys = []
+    for idx, data in enumerate(uploads):
+        try:
+            keys.append(decode_encrypted_key(data))
+        except ValueError as exc:
+            names = sorted(name for name, ref in refs.items() if ref == idx)
+            raise ValueError(
+                f"mint request: key {idx} for services {names}: {exc}"
+            ) from None
     return {name: keys[idx] for name, idx in refs.items()}
 
 
-def _pack_many(blobs: list[bytes]) -> bytes:
+def _pack_many(blobs: list) -> bytes:
     """[u16 count] then each blob length-prefixed: the batched-mint
     framing, identical in both directions."""
-    return b"".join([_U16.pack(len(blobs)), *map(_pack_blob, blobs)])
+    parts = [_U16.pack(len(blobs))]
+    for data in blobs:
+        parts += _blob_parts(data)
+    return b"".join(parts)
 
 
-def _unpack_many(blob: bytes, what: str) -> list[bytes]:
+def _unpack_many(blob, what: str) -> list[memoryview]:
     _require_header(blob, _U16, what)
     (count,) = _U16.unpack_from(blob)
     pos = _U16.size
@@ -382,7 +421,7 @@ def _unpack_many(blob: bytes, what: str) -> list[bytes]:
     return out
 
 
-def encode_mint_many_request(requests: list[bytes]) -> bytes:
+def encode_mint_many_request(requests: list) -> bytes:
     """Serialize a batched token-mint request (K clients' key uploads).
 
     Each element is one client's already-encoded single-mint request
@@ -404,22 +443,22 @@ def encode_mint_many_payload(payloads: list) -> bytes:
     return _pack_many([encode_token_payload(p) for p in payloads])
 
 
-def split_mint_many_payload(blob: bytes) -> list[bytes]:
+def split_mint_many_payload(blob) -> list[memoryview]:
     """The per-client token payloads of a batched response, in order,
     each still encoded exactly as a single ``mint`` response body."""
     return _unpack_many(blob, "mint-many payload")
 
 
-def _pack_named(blobs: dict[str, bytes]) -> bytes:
+def _pack_named(blobs: dict) -> bytes:
     """[u16 count] then per entry [u8 len][name][u32 len][blob]."""
     parts = [_U16.pack(len(blobs))]
     for name, data in blobs.items():
         parts.append(_pack_str(name))
-        parts.append(_pack_blob(data))
+        parts += _blob_parts(data)
     return b"".join(parts)
 
 
-def _unpack_named(blob: bytes, what: str) -> dict[str, bytes]:
+def _unpack_named(blob, what: str) -> dict[str, memoryview]:
     _require_header(blob, _U16, what)
     (count,) = _U16.unpack_from(blob)
     pos = _U16.size
@@ -465,23 +504,38 @@ def decode_a_products(blob: bytes) -> dict:
     return {name: decode_a_product(data) for name, data in blobs.items()}
 
 
+def _encrypted_key_bytes(z_b: np.ndarray) -> int:
+    return _KEY_HEADER.size + z_b.size * _RESIDUE.itemsize
+
+
+def _put_encrypted_key(out: bytearray, pos: int, z_b: np.ndarray) -> int:
+    """Write one encrypted key at ``pos``; return where it ends."""
+    _KEY_HEADER.pack_into(out, pos, *z_b.shape)
+    _put_residues(out, pos + _KEY_HEADER.size, z_b)
+    return pos + _encrypted_key_bytes(z_b)
+
+
 def encode_encrypted_key(enc_key) -> bytearray:
     """Serialize the ahead-of-time encrypted-key upload (SS6.3):
     [u32 n_inner][u32 k][u32 n_outer][n_inner*k*n_outer u32 z_b].
 
     ``z_b`` is narrowed once, straight into the preallocated buffer.
     """
-    z_b = enc_key.z_b
-    return _residue_blob(_KEY_HEADER.pack(*z_b.shape), z_b)
+    out = bytearray(_encrypted_key_bytes(enc_key.z_b))
+    _put_encrypted_key(out, 0, enc_key.z_b)
+    return out
 
 
-def decode_encrypted_key(blob: bytes):
+def decode_encrypted_key(blob):
+    """An encrypted key whose ``z_b`` is a read-only u32 view of
+    ``blob``: the upload is checked and multiplied where it arrived
+    (:meth:`~repro.homenc.double.DoubleLheScheme.check_key`)."""
     from repro.homenc.double import EncryptedKey
 
     _require_header(blob, _KEY_HEADER, "encrypted key")
     shape = _KEY_HEADER.unpack_from(blob)
     return EncryptedKey(
-        z_b=_get_residues(blob, _KEY_HEADER.size, shape, "encrypted key")
+        z_b=_residue_view(blob, _KEY_HEADER.size, shape, "encrypted key")
     )
 
 

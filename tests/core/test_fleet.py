@@ -650,11 +650,11 @@ class TestSwapProtocol:
         endpoint = router.endpoint
         body = endpoint.dispatch(rpc.frame("health", b""))
         _, payload = rpc.unframe(body)
-        report = json.loads(payload)
+        report = json.loads(bytes(payload))
         assert report["current"] == "deadbeef"
         body = endpoint.dispatch(rpc.frame("generations", b""))
         _, payload = rpc.unframe(body)
-        assert json.loads(payload)["current"] == "deadbeef"
+        assert json.loads(bytes(payload))["current"] == "deadbeef"
 
 
 class TestHealth:

@@ -227,3 +227,243 @@ class TestEngineModes:
         assert engine.url_endpoint is engine.services["url"].endpoint
         assert engine.token_endpoint is engine.services["token"].endpoint
         assert engine.hint_endpoint is engine.services["hint"].endpoint
+
+
+# -- the served mint: bit-identity, zero copies, and malformed frames ----------
+
+
+def _token_factory(level, with_table: bool):
+    """A two-service mint at ``level`` whose hints span two outer
+    chunks; ``with_table`` attaches the precomputed hint-NTT table."""
+    from repro.core.indexer import _OUTER_N
+    from repro.homenc import DoubleLheParams, DoubleLheScheme, TokenFactory
+    from repro.lwe.params import select_params
+    from repro.lwe.sampling import seeded_rng
+
+    rng = seeded_rng(40)
+    factory = TokenFactory()
+    schemes = {}
+    for name, q_bits in (("ranking", 64), ("url", 32)):
+        scheme = DoubleLheScheme(
+            DoubleLheParams(
+                inner=select_params(q_bits, 64, level),
+                outer_n=_OUTER_N[level],
+            ),
+            a_seed=name.encode().ljust(32, b"."),
+        )
+        matrix = rng.integers(0, 16, size=(_OUTER_N[level] + 5, 64))
+        prep = scheme.preprocess(matrix)
+        if with_table:
+            prep = scheme.with_hint_ntt(prep)
+        factory.register(name, scheme, prep)
+        schemes[name] = scheme
+    return factory, schemes
+
+
+class _ServedMint:
+    """A :class:`TokenMintService` over ``factory`` on a live listener;
+    ``connects`` counts the client's connections."""
+
+    def __init__(self, factory):
+        from repro.core.services import TokenMintService
+        from repro.net.tcp import FrameConnection, ServerRunner, SocketTransport
+
+        self.runner = ServerRunner([TokenMintService(factory)], port=0).start()
+        host, port = self.runner.address
+        self.connects = 0
+
+        def connect():
+            self.connects += 1
+            return FrameConnection.open(host, port, 60.0)
+
+        self.transport = SocketTransport(
+            host, port, timeout=60.0, connect=connect
+        )
+        self.channel = RpcChannel(TrafficLog(), self.transport)
+
+    def mint(self, request) -> memoryview:
+        return self.channel.call("token", "token", "mint", request)
+
+    def close(self):
+        self.transport.close()
+        self.runner.close()
+
+
+def _assert_same_token(got, want):
+    assert set(got.hints) == set(want.hints)
+    for name, hint in want.hints.items():
+        np.testing.assert_array_equal(got.hints[name].b, hint.b)
+        assert got.hints[name].b.dtype == hint.b.dtype
+        assert got.hints[name].rows == hint.rows
+        assert got.hints[name].a_digest == hint.a_digest
+
+
+class TestServedMintIdentity:
+    """Over a live socket, ``mint`` and ``mint_many`` return hint
+    products bit-identical to the in-process mint on the same uint64
+    keys -- with and without the precomputed hint-NTT table."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[
+            ("toy", False), ("toy", True), ("light", False), ("light", True)
+        ],
+        ids=lambda p: f"{p[0]}-{'table' if p[1] else 'no-table'}",
+    )
+    def served(self, request):
+        from repro.lwe.params import SecurityLevel
+
+        level, with_table = request.param
+        factory, schemes = _token_factory(SecurityLevel(level), with_table)
+        assert (factory.service("url").prep.hint_ntt is not None) == with_table
+        server = _ServedMint(factory)
+        yield factory, schemes, server
+        server.close()
+
+    def test_mint_matches_the_in_process_mint(self, served):
+        from repro.homenc.token import make_client_keys
+        from repro.lwe.sampling import seeded_rng
+
+        factory, schemes, server = served
+        _, enc_keys, _ = make_client_keys(schemes, seeded_rng(3))
+        assert all(k.z_b.dtype == np.uint64 for k in enc_keys.values())
+        body = server.mint(wire.encode_mint_request(enc_keys))
+        _assert_same_token(
+            wire.decode_token_payload(body), factory.mint(enc_keys)
+        )
+
+    def test_mint_many_matches_the_in_process_mint(self, served):
+        from repro.homenc.token import make_client_keys
+        from repro.lwe.sampling import seeded_rng
+
+        factory, schemes, server = served
+        keysets = [
+            make_client_keys(schemes, seeded_rng(10 + i))[1] for i in range(3)
+        ]
+        body = server.channel.call(
+            "token",
+            "token",
+            "mint_many",
+            wire.encode_mint_many_request(
+                [wire.encode_mint_request(k) for k in keysets]
+            ),
+        )
+        bodies = wire.split_mint_many_payload(body)
+        assert len(bodies) == 3
+        for enc_keys, got in zip(keysets, bodies):
+            _assert_same_token(
+                wire.decode_token_payload(got), factory.mint(enc_keys)
+            )
+
+
+def test_received_key_is_a_read_only_view_of_the_frame():
+    """The key upload is received in place and decoded without a copy:
+    ``z_b`` is read-only u32 over the very buffer the frame landed in."""
+    import socket
+
+    from repro.homenc.token import make_client_keys
+    from repro.lwe.params import SecurityLevel
+    from repro.lwe.sampling import seeded_rng
+    from repro.net.tcp import STATUS_OK, FrameConnection
+
+    _, schemes = _token_factory(SecurityLevel.TOY, with_table=False)
+    _, enc_keys, _ = make_client_keys(schemes, seeded_rng(4))
+    left, right = socket.socketpair()
+    try:
+        FrameConnection(left).send_frame(
+            1, "token", STATUS_OK, frame("mint", wire.encode_mint_request(enc_keys))
+        )
+        _, _, _, received = FrameConnection(right).recv_frame(timeout=10.0)
+    finally:
+        left.close()
+        right.close()
+    _, body = unframe(received)
+    decoded = wire.decode_mint_request(body)
+    buffer = np.frombuffer(received, dtype=np.uint8)
+    for name, key in decoded.items():
+        assert key.z_b.dtype == np.uint32
+        assert not key.z_b.flags.writeable
+        assert np.shares_memory(key.z_b, buffer)
+        np.testing.assert_array_equal(key.z_b, enc_keys[name].z_b)
+
+
+class TestMintFrameFuzz:
+    """Malformed key uploads sent to a live mint: each is refused as a
+    remote error naming the service whose key it is, the checks run on
+    the u32 words as they arrived, and the same connection then mints a
+    good token."""
+
+    @pytest.fixture(scope="class")
+    def served(self):
+        from repro.homenc.token import make_client_keys
+        from repro.lwe.params import SecurityLevel
+        from repro.lwe.sampling import seeded_rng
+
+        factory, schemes = _token_factory(SecurityLevel.TOY, with_table=True)
+        _, enc_keys, _ = make_client_keys(schemes, seeded_rng(5))
+        server = _ServedMint(factory)
+        yield factory, schemes, enc_keys, server
+        server.close()
+
+    @staticmethod
+    def _request(uploads: dict) -> bytes:
+        """A mint request of one upload per service, built by hand so a
+        single key's bytes can be malformed."""
+        import struct
+
+        parts = [struct.pack("<H", len(uploads))]
+        parts += [struct.pack("<I", len(k)) + bytes(k) for k in uploads.values()]
+        parts.append(struct.pack("<H", len(uploads)))
+        for idx, name in enumerate(uploads):
+            parts.append(bytes([len(name)]) + name.encode() + struct.pack("<H", idx))
+        return b"".join(parts)
+
+    @staticmethod
+    def _malformed(case, key: bytes, scheme) -> bytes:
+        import struct
+
+        key = bytearray(key)
+        header = wire._KEY_HEADER.size
+        n_inner, k, n = struct.unpack_from("<III", key)
+        if case == "residue-p":
+            key[-4:] = scheme.outer.ring.primes[-1].to_bytes(4, "little")
+        elif case == "residue-u32-max":
+            key[header : header + 4] = (2**32 - 1).to_bytes(4, "little")
+        elif case == "other-shape":
+            struct.pack_into("<III", key, 0, n_inner * k, 1, n)
+        elif case == "truncated":
+            del key[-4:]
+        elif case == "trailing":
+            key += b"\0" * 4
+        return bytes(key)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("residue-p", "residues outside"),
+            ("residue-u32-max", "residues outside"),
+            ("other-shape", "expected uint32 or uint64"),
+            ("truncated", "expected"),
+            ("trailing", "trailing bytes"),
+        ],
+    )
+    def test_malformed_key_is_refused_and_the_connection_mints_on(
+        self, served, case, message
+    ):
+        from repro.net.transport import RemoteCallError
+
+        factory, schemes, enc_keys, server = served
+        uploads = {
+            name: bytes(wire.encode_encrypted_key(key))
+            for name, key in enc_keys.items()
+        }
+        uploads["url"] = self._malformed(case, uploads["url"], schemes["url"])
+        with pytest.raises(RemoteCallError) as info:
+            server.mint(self._request(uploads))
+        assert "'url'" in str(info.value)
+        assert message in str(info.value)
+        body = server.mint(wire.encode_mint_request(enc_keys))
+        _assert_same_token(
+            wire.decode_token_payload(body), factory.mint(enc_keys)
+        )
+        assert server.connects == 1

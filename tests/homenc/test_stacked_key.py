@@ -312,3 +312,36 @@ class TestOuterNoise:
         )
         assert min(stacked) > 0
         assert abs(min(stacked) - min(oracle)) <= 1.0
+
+
+class TestOuterHeadroomFloor:
+    """Every hint chunk of a real minted token keeps at least
+    ``FLOOR_BITS`` of outer-layer noise budget, at TOY and LIGHT and for
+    both services: a change that eats the margin fails here first.
+    The ``b`` half is paired with the held ``a``-product, as the client
+    pairs them, against the clear ``switched_hint @ s mod T``."""
+
+    FLOOR_BITS = 10
+
+    def test_every_hint_chunk_keeps_the_floor(self, level):
+        rng = seeded_rng(11)
+        schemes = {name: scheme_for(level, name) for name in SERVICES}
+        factory = TokenFactory()
+        for name, scheme in schemes.items():
+            rows = 2 * scheme.params.outer_n - 3
+            factory.register(name, scheme, random_prep(scheme, rng, rows))
+        keys, enc_keys, _ = make_client_keys(schemes, rng)
+        payload = factory.mint(enc_keys)
+        a_products = factory.a_products()
+        for name, scheme in schemes.items():
+            n_outer = scheme.params.outer_n
+            prep = factory.service(name).prep
+            want = clear_product(scheme, keys[name], prep).astype(np.int64)
+            pairs = zip(payload.hints[name].b, a_products[name].words)
+            for chunk, (b, a) in enumerate(pairs):
+                bits = scheme.outer.noise_budget_bits(
+                    keys[name].outer,
+                    BfvCiphertext(b=b, a=a),
+                    want[chunk * n_outer : (chunk + 1) * n_outer],
+                )
+                assert bits >= self.FLOOR_BITS, (name, chunk, bits)

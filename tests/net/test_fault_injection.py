@@ -135,7 +135,7 @@ class TestDuplicateDelivery:
 
         def record(payload):
             calls.append(payload)
-            return payload + b"!"
+            return bytes(payload) + b"!"
 
         ep = ServiceEndpoint("svc")
         ep.register("m", record)

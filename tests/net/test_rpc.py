@@ -56,7 +56,7 @@ class TestFraming:
 class TestEndpoint:
     def test_dispatch(self):
         ep = ServiceEndpoint("echo")
-        ep.register("upper", lambda b: b.upper())
+        ep.register("upper", lambda b: bytes(b).upper())
         method, body = unframe(ep.dispatch(frame("upper", b"abc")))
         assert (method, body) == ("upper", b"ABC")
 
@@ -75,7 +75,7 @@ class TestEndpoint:
 class TestChannel:
     def test_logs_real_wire_sizes(self):
         ep = ServiceEndpoint("svc")
-        ep.register("m", lambda b: b * 2)
+        ep.register("m", lambda b: bytes(b) * 2)
         log = TrafficLog()
         channel = RpcChannel(log, LoopbackTransport({"svc": ep}))
         out = channel.call("svc", "phase", "m", b"1234")

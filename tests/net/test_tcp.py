@@ -2,6 +2,7 @@
 server runner, over both real sockets and scripted connections."""
 
 import socket
+import struct
 import threading
 import time
 
@@ -32,7 +33,7 @@ class EchoService(Service):
     service_name = "echo"
 
     def register_endpoint(self, endpoint: ServiceEndpoint) -> None:
-        endpoint.register("upper", lambda b: b.upper())
+        endpoint.register("upper", lambda b: bytes(b).upper())
         endpoint.register("boom", self._boom)
 
     def _boom(self, payload: bytes) -> bytes:
@@ -48,7 +49,7 @@ def server():
 
 
 class ByteSocket:
-    """A socket double: ``sendall`` records what was sent, ``recv``
+    """A socket double: ``sendmsg`` records what was sent, ``recv_into``
     delivers a single byte of ``incoming`` per call and then
     end-of-stream."""
 
@@ -57,19 +58,49 @@ class ByteSocket:
         self.wire = bytearray()
         self.recv_calls = 0
 
-    def sendall(self, data):
-        self.wire += data
+    def sendmsg(self, buffers):
+        sent = 0
+        for data in buffers:
+            self.wire += data
+            sent += len(data)
+        return sent
 
-    def recv(self, limit):
+    def recv_into(self, buf):
         self.recv_calls += 1
         chunk, self.incoming = self.incoming[:1], self.incoming[1:]
-        return chunk
+        buf[: len(chunk)] = chunk
+        return len(chunk)
+
+    def gettimeout(self):
+        return None
 
     def settimeout(self, timeout):
         pass
 
     def close(self):
         pass
+
+
+class RssProbeSocket(ByteSocket):
+    """A :class:`ByteSocket` that samples the process's resident set
+    size at the moment it reports end-of-stream."""
+
+    def __init__(self, incoming):
+        super().__init__(incoming)
+        self.rss_at_close = None
+
+    def recv_into(self, buf):
+        if not self.incoming:
+            self.rss_at_close = _vm_rss_mib()
+        return super().recv_into(buf)
+
+
+def _vm_rss_mib() -> float:
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024
+    raise RuntimeError("no VmRSS line in /proc/self/status")
 
 
 class TestFrameConnection:
@@ -98,6 +129,64 @@ class TestFrameConnection:
         left.sendall(header)
         with pytest.raises(TransportError, match="maximum"):
             FrameConnection(right).recv_frame(timeout=2.0)
+
+    def test_declared_length_is_not_committed_up_front(self):
+        """A header declaring 512 MiB, then a close: the receive buffer
+        pins no memory while it waits (``bytearray(1 << 30)`` would
+        commit all of it)."""
+        header = struct.Struct("<Q16sBI").pack(
+            1, b"echo".ljust(16, b"\0"), 0, 512 << 20
+        )
+        sock = RssProbeSocket(header)
+        before = _vm_rss_mib()
+        with pytest.raises(TransportConnectionLost, match="closed by peer"):
+            FrameConnection(sock).recv_frame(timeout=2.0)
+        assert sock.rss_at_close is not None
+        assert sock.rss_at_close - before < 64
+
+    def test_send_deadline_covers_the_whole_frame(self):
+        """A peer that never reads: a 32 MiB send times out once, within
+        a few multiples of the socket's timeout."""
+        left, right = socket.socketpair()
+        left.settimeout(0.5)
+        started = time.monotonic()
+        with pytest.raises(TransportTimeout):
+            FrameConnection(left).send_frame(
+                1, "token", STATUS_OK, bytes(32 << 20)
+            )
+        assert time.monotonic() - started < 3 * 0.5
+        left.close()
+        right.close()
+
+    def test_send_deadline_is_not_renewed_by_partial_sends(self):
+        """A peer that drains slowly keeps every partial send moving;
+        the frame still times out on one deadline, not one per send."""
+        left, right = socket.socketpair()
+        left.settimeout(0.5)
+        stop = threading.Event()
+
+        def trickle():
+            while not stop.is_set():
+                try:
+                    right.recv(64 << 10)
+                except OSError:
+                    return
+                time.sleep(0.02)
+
+        reader = threading.Thread(target=trickle, daemon=True)
+        reader.start()
+        started = time.monotonic()
+        try:
+            with pytest.raises(TransportTimeout):
+                FrameConnection(left).send_frame(
+                    1, "token", STATUS_OK, bytes(32 << 20)
+                )
+            assert time.monotonic() - started < 3 * 0.5
+        finally:
+            stop.set()
+            left.close()
+            reader.join(timeout=5.0)
+            right.close()
 
     def test_one_byte_per_recv_reassembles_byte_identically(self):
         payload = bytes(range(256)) * 41
@@ -176,7 +265,7 @@ class TestSocketTransportAgainstServer:
         transport = SocketTransport(host, port, timeout=5.0)
         response = transport.request("_meta", frame("health", b""))
         _, body = unframe(response)
-        report = json.loads(body)
+        report = json.loads(bytes(body))
         assert report["echo"]["status"] == "ok"
         transport.close()
 
@@ -468,7 +557,7 @@ class TestHealthIsolation:
             transport = SocketTransport(host, port, timeout=5.0)
             response = transport.request("_meta", frame("health", b""))
             _, body = unframe(response)
-            report = json.loads(body)
+            report = json.loads(bytes(body))
             assert report["echo"]["status"] == "ok"
             assert report["poisoned"]["status"] == "error"
             assert "health probe exploded" in report["poisoned"]["error"]

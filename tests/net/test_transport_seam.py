@@ -22,7 +22,7 @@ from repro.net.transport import (
 
 def echo_endpoint(name="echo"):
     ep = ServiceEndpoint(name)
-    ep.register("upper", lambda b: b.upper())
+    ep.register("upper", lambda b: bytes(b).upper())
     return ep
 
 
@@ -124,7 +124,7 @@ class TestServiceLifecycle:
 
             def register_endpoint(self, endpoint):
                 type(self).built += 1
-                endpoint.register("upper", lambda b: b.upper())
+                endpoint.register("upper", lambda b: bytes(b).upper())
 
         service = Echo()
         assert service.endpoint is service.endpoint

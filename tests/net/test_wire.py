@@ -133,10 +133,16 @@ class TestEncryptedKey:
     def test_round_trip_and_size(self, enc_key):
         blob = wire.encode_encrypted_key(enc_key)
         assert len(blob) == enc_key.wire_bytes() + wire._KEY_HEADER.size
-        back = wire.decode_encrypted_key(bytes(blob))
+        received = bytes(blob)
+        back = wire.decode_encrypted_key(received)
         np.testing.assert_array_equal(back.z_b, enc_key.z_b)
-        assert back.z_b.dtype == np.uint64
-        back.z_b[0, 0, 0] += 1  # a fresh writable copy
+        # The u32 words where they arrived: never widened, never copied,
+        # never writable.
+        assert back.z_b.dtype == np.uint32
+        assert np.shares_memory(back.z_b, np.frombuffer(received, np.uint8))
+        assert not back.z_b.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            back.z_b[0, 0, 0] += 1
 
     def test_residues_travel_as_u32(self, enc_key):
         """Narrowed once on encode: the body is the u32 residues."""
