@@ -17,6 +17,7 @@ similarity -- the similarity measure the protocol computes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import svds
@@ -54,6 +55,17 @@ class LsaEmbedder:
     ) -> "LsaEmbedder":
         """Train on a corpus sample (SS7 trains k-means on a sample too)."""
         token_lists = [analyze(doc) for doc in documents]
+        return cls.fit_tokens(token_lists, dim=dim, max_terms=max_terms, seed=seed)
+
+    @classmethod
+    def fit_tokens(
+        cls,
+        token_lists: list[list[str]],
+        dim: int = 64,
+        max_terms: int | None = None,
+        seed: int = 0,
+    ) -> "LsaEmbedder":
+        """:meth:`fit` on documents already run through ``analyze``."""
         vocab = Vocabulary.build(token_lists, max_terms=max_terms)
         model = TfidfModel(vocab)
         matrix = model.matrix(token_lists)
@@ -68,22 +80,48 @@ class LsaEmbedder:
         projection[:, : len(order)] = vt[order].T
         return cls(dim=dim, vocab=vocab, projection=projection)
 
-    def _fold_in(self, tokens: list[str]) -> np.ndarray:
-        weights = TfidfModel(self.vocab).vectorize_tokens(tokens)
-        vec = np.zeros(self.dim)
-        for tid, w in weights.items():
-            vec += w * self.projection[tid]
-        return vec
+    @cached_property
+    def _tfidf(self) -> TfidfModel:
+        return TfidfModel(self.vocab)
+
+    def _fold_in(self, token_lists: list[list[str]]) -> np.ndarray:
+        """Un-normalized LSA vectors, one row per analyzed document.
+
+        Row ``i`` accumulates ``w * projection[t]`` over the document's
+        terms in first-occurrence order.  All rows advance one term
+        position at a time, so a batch costs one gather-multiply-add per
+        position rather than two NumPy calls per term, and each row still
+        sees exactly the IEEE multiplies and adds of a one-row fold-in.
+        Shorter documents are zero-padded: a padded slot adds
+        ``0.0 * projection[0] = +-0.0``, which leaves the row unchanged
+        (the accumulator starts at +0.0, and a round-to-nearest sum never
+        turns it into -0.0), so a row's bits never depend on its batch.
+        """
+        weights = [self._tfidf.vectorize_tokens(tokens) for tokens in token_lists]
+        width = max(map(len, weights), default=0)
+        ids = np.zeros((len(weights), width), dtype=np.intp)
+        vals = np.zeros((len(weights), width))
+        for i, row in enumerate(weights):
+            ids[i, : len(row)] = list(row)
+            vals[i, : len(row)] = list(row.values())
+        vecs = np.zeros((len(weights), self.dim))
+        for t in range(width):
+            vecs += vals[:, t : t + 1] * self.projection[ids[:, t]]
+        return vecs
 
     def embed(self, text: str) -> np.ndarray:
         """Embed one text into a unit-norm vector."""
-        vec = self._fold_in(analyze(text))
+        vec = self._fold_in([analyze(text)])[0]
         norm = np.linalg.norm(vec)
         return vec / norm if norm > 0 else vec
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         """Embed many texts; rows are unit-norm (or zero)."""
-        return _normalize_rows(np.stack([self._fold_in(analyze(t)) for t in texts]))
+        return self.embed_tokens([analyze(t) for t in texts])
+
+    def embed_tokens(self, token_lists: list[list[str]]) -> np.ndarray:
+        """:meth:`embed_batch` on documents already run through ``analyze``."""
+        return _normalize_rows(self._fold_in(token_lists))
 
     def model_bytes(self) -> int:
         """Download size of the embedding function (Table 7 'Model')."""

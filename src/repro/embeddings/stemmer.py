@@ -5,9 +5,22 @@ the vocabulary builder.  This is a faithful implementation of the
 original five-step algorithm; the test suite pins the classic
 reference examples (caresses -> caress, ponies -> poni, relational ->
 relat, ...).
+
+:func:`porter_stem` is a pure function of its argument, and a corpus
+repeats the same few thousand words over and over (Zipf), so it is
+memoised.  The memo is an LRU of :data:`STEM_CACHE_SIZE` entries: it
+holds the working vocabulary but never grows with the corpus, which
+keeps the ingestion plane's memory bounded.
 """
 
 from __future__ import annotations
+
+import functools
+
+#: Entries in :func:`porter_stem`'s LRU memo.  An entry holds a word, its
+#: stem and a link node, about 200 bytes for an ordinary word, so a full
+#: memo stays near 3 MB.
+STEM_CACHE_SIZE = 1 << 14
 
 _VOWELS = set("aeiou")
 
@@ -89,8 +102,9 @@ _STEP4_SUFFIXES = [
 ]
 
 
+@functools.lru_cache(maxsize=STEM_CACHE_SIZE)
 def porter_stem(word: str) -> str:
-    """Stem one lowercase word."""
+    """Stem one lowercase word (memoised; see :data:`STEM_CACHE_SIZE`)."""
     if len(word) <= 2:
         return word
 

@@ -14,7 +14,8 @@ paper's own procedure is sample-based anyway (SS7 trains k-means on a
 
 Bit-stability contract: ``transform_texts`` returns rows that are
 bit-identical for any batching of the same documents (verified by the
-ingest test suite).  LSA fold-in is per-document arithmetic, and the
+ingest test suite).  The batched LSA fold-in gives each row the same
+IEEE operations whatever its batch (see ``LsaEmbedder._fold_in``), and the
 PCA projection is a BLAS matmul whose rows are bit-stable for operand
 batches of two or more rows; singleton batches take a different BLAS
 path (matrix-vector), so a lone row is padded with a duplicate and
@@ -31,6 +32,7 @@ import numpy as np
 from repro.embeddings.lsa import LsaEmbedder
 from repro.embeddings.pca import PcaReducer
 from repro.embeddings.quantize import auto_gain
+from repro.embeddings.tokenizer import analyze
 
 
 class ReservoirSampler:
@@ -86,8 +88,11 @@ def fit_streaming_models(
     """
     if not sample_texts:
         raise ValueError("cannot fit models on an empty sample")
-    embedder = LsaEmbedder.fit(sample_texts, dim=embedding_dim, seed=seed)
-    sample = embedder.embed_batch(sample_texts)
+    # Analyze the sample once: the fit and the sample's embedding read
+    # the same token lists.
+    token_lists = [analyze(text) for text in sample_texts]
+    embedder = LsaEmbedder.fit_tokens(token_lists, dim=embedding_dim, seed=seed)
+    sample = embedder.embed_tokens(token_lists)
     pca = None
     if pca_dim is not None and pca_dim < embedding_dim:
         pca = PcaReducer.fit(sample, pca_dim)

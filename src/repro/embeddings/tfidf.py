@@ -8,6 +8,7 @@ through this module.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,16 @@ from scipy import sparse
 
 from repro.embeddings.tokenizer import analyze
 from repro.embeddings.vocab import Vocabulary
+
+
+@functools.lru_cache(maxsize=1024)
+def _log_tf(count: int) -> float:
+    """Sublinear term frequency ``1 + ln(count)``, memoised per count.
+
+    Deliberately ``np.log`` (not ``math.log``, which need not round the
+    same way), so every weight keeps its bits.
+    """
+    return 1.0 + np.log(count)
 
 
 @dataclass
@@ -26,16 +37,15 @@ class TfidfModel:
     def vectorize_tokens(self, tokens: list[str]) -> dict[int, float]:
         """A sparse tf-idf vector (term-id -> weight), L2-normalized."""
         counts: dict[int, int] = {}
+        id_of = self.vocab.term_to_id.get
         for term in tokens:
-            tid = self.vocab.id_of(term)
+            tid = id_of(term)
             if tid is not None:
                 counts[tid] = counts.get(tid, 0) + 1
         if not counts:
             return {}
-        weights = {
-            tid: (1.0 + np.log(c)) * self.vocab.idf(tid)
-            for tid, c in counts.items()
-        }
+        idf = self.vocab.idf_table
+        weights = {tid: _log_tf(c) * idf[tid] for tid, c in counts.items()}
         norm = float(np.sqrt(sum(w * w for w in weights.values())))
         return {tid: w / norm for tid, w in weights.items()}
 

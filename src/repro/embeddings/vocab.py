@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass
@@ -61,8 +62,10 @@ class Vocabulary:
         """Smoothed inverse document frequency."""
         return math.log((1 + self.num_docs) / (1 + self.doc_freq[term_id])) + 1.0
 
-    def idf_vector(self) -> list[float]:
-        return [self.idf(i) for i in range(len(self))]
+    @cached_property
+    def idf_table(self) -> tuple[float, ...]:
+        """:meth:`idf` of every term id, computed once per vocabulary."""
+        return tuple(self.idf(i) for i in range(len(self)))
 
     def restrict_to_top_idf(self, k: int) -> "Vocabulary":
         """Coeus-style restriction: keep the k highest-IDF terms.

@@ -53,7 +53,17 @@ class TestLsaEmbedder:
     def test_batch_matches_single(self, lsa):
         batch = lsa.embed_batch(CORPUS[:3])
         for i in range(3):
+            # Close, not equal: both fold in the same unnormalized row,
+            # but ``embed`` divides by a 1-D ``np.linalg.norm`` (a BLAS
+            # dot) and ``embed_batch`` by the row-wise norm of
+            # ``_normalize_rows`` (a pairwise sum), which can round the
+            # norm one ulp apart.  Query vectors keep the 1-D form.
             assert np.allclose(batch[i], lsa.embed(CORPUS[i]))
+        # Batch against batch is exact: a row's bits never depend on the
+        # documents batched with it.
+        for i in range(3):
+            assert lsa.embed_batch([CORPUS[i]]).tobytes() == batch[i].tobytes()
+        assert lsa.embed_batch(CORPUS)[:3].tobytes() == batch.tobytes()
 
     def test_empty_text_embeds_to_zero(self, lsa):
         assert not lsa.embed("").any()

@@ -6,6 +6,73 @@ from hypothesis import strategies as st
 
 from repro.embeddings import Vocabulary, analyze, porter_stem, tokenize
 
+#: Reference examples from Porter's original paper.
+PORTER_REFERENCE = [
+    ("caresses", "caress"),
+    ("ponies", "poni"),
+    ("cats", "cat"),
+    ("feed", "feed"),
+    ("agreed", "agre"),
+    ("plastered", "plaster"),
+    ("motoring", "motor"),
+    ("sing", "sing"),
+    ("conflated", "conflat"),
+    ("troubled", "troubl"),
+    ("sized", "size"),
+    ("hopping", "hop"),
+    ("falling", "fall"),
+    ("hissing", "hiss"),
+    ("failing", "fail"),
+    ("happy", "happi"),
+    ("sky", "sky"),
+    ("relational", "relat"),
+    ("conditional", "condit"),
+    ("rational", "ration"),
+    ("valenci", "valenc"),
+    ("digitizer", "digit"),
+    ("conformabli", "conform"),
+    ("radicalli", "radic"),
+    ("differentli", "differ"),
+    ("vileli", "vile"),
+    ("analogousli", "analog"),
+    ("vietnamization", "vietnam"),
+    ("predication", "predic"),
+    ("operator", "oper"),
+    ("feudalism", "feudal"),
+    ("decisiveness", "decis"),
+    ("hopefulness", "hope"),
+    ("formaliti", "formal"),
+    ("triplicate", "triplic"),
+    ("formative", "form"),
+    ("formalize", "formal"),
+    ("electriciti", "electr"),
+    ("electrical", "electr"),
+    ("hopeful", "hope"),
+    ("goodness", "good"),
+    ("revival", "reviv"),
+    ("allowance", "allow"),
+    ("inference", "infer"),
+    ("airliner", "airlin"),
+    ("adjustable", "adjust"),
+    ("defensible", "defens"),
+    ("irritant", "irrit"),
+    ("replacement", "replac"),
+    ("adjustment", "adjust"),
+    ("dependent", "depend"),
+    ("adoption", "adopt"),
+    ("communism", "commun"),
+    ("activate", "activ"),
+    ("angulariti", "angular"),
+    ("homologous", "homolog"),
+    ("effective", "effect"),
+    ("bowdlerize", "bowdler"),
+    ("probate", "probat"),
+    ("rate", "rate"),
+    ("cease", "ceas"),
+    ("controll", "control"),
+    ("roll", "roll"),
+]
+
 
 class TestTokenizer:
     def test_lowercases_and_splits(self):
@@ -29,74 +96,7 @@ class TestTokenizer:
 class TestPorterStemmer:
     """Reference examples from Porter's original paper."""
 
-    @pytest.mark.parametrize(
-        "word,stem",
-        [
-            ("caresses", "caress"),
-            ("ponies", "poni"),
-            ("cats", "cat"),
-            ("feed", "feed"),
-            ("agreed", "agre"),
-            ("plastered", "plaster"),
-            ("motoring", "motor"),
-            ("sing", "sing"),
-            ("conflated", "conflat"),
-            ("troubled", "troubl"),
-            ("sized", "size"),
-            ("hopping", "hop"),
-            ("falling", "fall"),
-            ("hissing", "hiss"),
-            ("failing", "fail"),
-            ("happy", "happi"),
-            ("sky", "sky"),
-            ("relational", "relat"),
-            ("conditional", "condit"),
-            ("rational", "ration"),
-            ("valenci", "valenc"),
-            ("digitizer", "digit"),
-            ("conformabli", "conform"),
-            ("radicalli", "radic"),
-            ("differentli", "differ"),
-            ("vileli", "vile"),
-            ("analogousli", "analog"),
-            ("vietnamization", "vietnam"),
-            ("predication", "predic"),
-            ("operator", "oper"),
-            ("feudalism", "feudal"),
-            ("decisiveness", "decis"),
-            ("hopefulness", "hope"),
-            ("formaliti", "formal"),
-            ("triplicate", "triplic"),
-            ("formative", "form"),
-            ("formalize", "formal"),
-            ("electriciti", "electr"),
-            ("electrical", "electr"),
-            ("hopeful", "hope"),
-            ("goodness", "good"),
-            ("revival", "reviv"),
-            ("allowance", "allow"),
-            ("inference", "infer"),
-            ("airliner", "airlin"),
-            ("adjustable", "adjust"),
-            ("defensible", "defens"),
-            ("irritant", "irrit"),
-            ("replacement", "replac"),
-            ("adjustment", "adjust"),
-            ("dependent", "depend"),
-            ("adoption", "adopt"),
-            ("communism", "commun"),
-            ("activate", "activ"),
-            ("angulariti", "angular"),
-            ("homologous", "homolog"),
-            ("effective", "effect"),
-            ("bowdlerize", "bowdler"),
-            ("probate", "probat"),
-            ("rate", "rate"),
-            ("cease", "ceas"),
-            ("controll", "control"),
-            ("roll", "roll"),
-        ],
-    )
+    @pytest.mark.parametrize("word,stem", PORTER_REFERENCE)
     def test_reference_examples(self, word, stem):
         assert porter_stem(word) == stem
 
@@ -111,6 +111,19 @@ class TestPorterStemmer:
         # the single 'e' that step 1b can restore.
         out = porter_stem(word)
         assert len(out) <= len(word) + 1
+
+    def test_memo_returns_what_a_cold_stemmer_returns(self):
+        warm = [porter_stem(word) for word, _ in PORTER_REFERENCE]
+        porter_stem.cache_clear()
+        cold = [porter_stem(word) for word, _ in PORTER_REFERENCE]
+        assert cold == warm == [stem for _, stem in PORTER_REFERENCE]
+
+    def test_memo_is_bounded(self):
+        maxsize = porter_stem.cache_info().maxsize
+        assert maxsize is not None
+        for i in range(100_000):
+            porter_stem(f"tok{i}ing")
+        assert porter_stem.cache_info().currsize <= maxsize
 
 
 class TestVocabulary:
