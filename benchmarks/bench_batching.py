@@ -49,7 +49,7 @@ def _build_ranking():
     keys = scheme.gen_keys(rng)
     embedding = rng.integers(-8, 8, size=dim)
     queries = [
-        client.build_query(keys, embedding, i % clusters, rng)
+        client.build_query(keys, embedding, i % clusters)
         for i in range(NUM_QUERIES)
     ]
     return service, queries

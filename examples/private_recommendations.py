@@ -58,7 +58,6 @@ def main() -> None:
         keys["ranking"],
         quantize(profile, index.config.quantization()),
         cluster,
-        rng,
     )
     answer = engine.ranking_answer(query)
     scores = ranking.decode_scores(keys["ranking"], answer, hints["ranking"])

@@ -355,7 +355,9 @@ class _FunctionPass:
             if node.attr in DECLASSIFY_ATTRS:
                 return EMPTY
             if node.attr in SECRET_ATTR_NAMES:
-                return frozenset({S})
+                # Keep the object's own labels: a helper reading
+                # ``keys.mask`` passes its argument's flow through.
+                return frozenset({S}) | self._labels(node.value, env)
             return self._labels(node.value, env)
         if isinstance(node, ast.Call):
             return self._call_labels(node, env)

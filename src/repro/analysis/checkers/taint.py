@@ -12,7 +12,8 @@ This checker runs a forward, intraprocedural taint pass per function:
   ``gen_secret``, ``keygen``, ``make_client_keys``, ``ternary_secret``,
   ``ternary_secret_signed``, ``gaussian_error``), parameters named like
   secrets (``sk``, ``secret``, ``secret_key``, ...), and attribute
-  reads named ``.secret`` / ``.sk`` / ``.secret_key``;
+  reads named ``.secret`` / ``.sk`` / ``.secret_key`` / ``.mask`` (a
+  client key's precomputed ``A s + e``);
 * **propagation** -- assignments (including tuple unpacking),
   arithmetic, subscripts, f-strings, and through calls (a call with a
   tainted argument returns a tainted value);
@@ -51,7 +52,7 @@ SECRET_SOURCE_CALLS = {
 
 SECRET_PARAM_NAMES = {"sk", "secret", "secret_key", "secret_keys", "private_key"}
 
-SECRET_ATTR_NAMES = {"secret", "sk", "secret_key"}
+SECRET_ATTR_NAMES = {"secret", "sk", "secret_key", "mask"}
 
 #: Attribute reads that yield public structure, not secret contents.
 DECLASSIFY_ATTRS = {

@@ -79,9 +79,7 @@ class ClassicTiptoeClient:
         quantized = quantize(vec * gain, index.config.quantization())
         cluster = int(np.argmax(self.metadata.centroids @ vec))
 
-        rank_query = self.ranking.build_query(
-            rank_keys, quantized, cluster, self.rng
-        )
+        rank_query = self.ranking.build_query(rank_keys, quantized, cluster)
         body = channel.call(
             "ranking",
             "ranking",
@@ -102,7 +100,7 @@ class ClassicTiptoeClient:
         offset = int(self.metadata.cluster_offsets[cluster])
         best_storage = engine.storage_position(offset + top_rows[0])
         batch_index = self.url_client.batch_of_position(best_storage)
-        url_query = self.url_client.build_query(url_keys, batch_index, self.rng)
+        url_query = self.url_client.build_query(url_keys, batch_index)
         body = channel.call(
             "url",
             "url",

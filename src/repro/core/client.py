@@ -240,7 +240,7 @@ class TiptoeClient:
             channel = RpcChannel(traffic, self.engine.transport)
             with obs.span("ranking"):
                 rank_query = self.ranking.build_query(
-                    keys["ranking"], quantized, cluster, self.rng
+                    keys["ranking"], quantized, cluster
                 )
                 body = channel.call(
                     "ranking",
@@ -269,7 +269,7 @@ class TiptoeClient:
                 )
                 batch_index = self.url_client.batch_of_position(best_storage)
                 url_query = self.url_client.build_query(
-                    keys["url"], batch_index, self.rng
+                    keys["url"], batch_index
                 )
                 body = channel.call(
                     "url",

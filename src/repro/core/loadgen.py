@@ -227,7 +227,6 @@ def measure_throughput(
                 index.config.quantization(),
             ),
             i % index.layout.num_clusters,
-            rng,
         )
         for i in range(num_queries)
     ]
@@ -258,7 +257,7 @@ def measure_throughput(
     for i in range(num_queries):
         sel = index.url_db.selection_vector(i % index.url_db.num_records)
         url_queries.append(
-            PirQuery(ciphertext=index.url_scheme.encrypt(url_keys, sel, rng))
+            PirQuery(ciphertext=index.url_scheme.encrypt(url_keys, sel))
         )
     if via_rpc:
         url_blobs = [
@@ -375,7 +374,6 @@ def measure_concurrent_ranking(
                         index.config.quantization(),
                     ),
                     (c + i) % index.layout.num_clusters,
-                    rng,
                 )
                 for i in range(queries_per_client)
             ]

@@ -150,10 +150,13 @@ class RankingClient:
         cluster_index: int,
         rng: np.random.Generator | None = None,
     ) -> RankingQuery:
+        """Encrypt the cluster-placed query vector under the keys'
+        precomputed mask.  ``rng`` is unused: every draw was made with
+        the keys; it stays for callers that pass one."""
         q_tilde = build_query_vector(
             query_embedding, cluster_index, self.num_clusters
         )
-        return RankingQuery(ciphertext=self.scheme.encrypt(keys, q_tilde, rng))
+        return RankingQuery(ciphertext=self.scheme.encrypt(keys, q_tilde))
 
     def decode_scores(
         self, keys, answer: RankingAnswer, hint_product: np.ndarray

@@ -117,8 +117,11 @@ class UrlServiceClient:
         batch_index: int,
         rng: np.random.Generator | None = None,
     ) -> PirQuery:
+        """Encrypt the selection vector of one URL batch under the
+        keys' precomputed mask.  ``rng`` is unused: every draw was made
+        with the keys; it stays for callers that pass one."""
         sel = self.db_meta.selection_vector(batch_index)
-        return PirQuery(ciphertext=self.scheme.encrypt(keys, sel, rng))
+        return PirQuery(ciphertext=self.scheme.encrypt(keys, sel))
 
     def recover_batch(
         self, keys, answer: PirAnswer, hint_product: np.ndarray

@@ -12,15 +12,17 @@ paper's own procedure is sample-based anyway (SS7 trains k-means on a
 * :func:`transform_texts` then applies the fitted models batch by
   batch.
 
-Bit-stability contract: ``transform_texts`` returns rows that are
-bit-identical for any batching of the same documents (verified by the
-ingest test suite).  The batched LSA fold-in gives each row the same
-IEEE operations whatever its batch (see ``LsaEmbedder._fold_in``), and the
-PCA projection is a BLAS matmul whose rows are bit-stable for operand
-batches of two or more rows; singleton batches take a different BLAS
-path (matrix-vector), so a lone row is padded with a duplicate and
-sliced back.  This is what makes "re-embed only the changed documents"
-produce the same bytes as "re-embed everything".
+Bit stability, and where it fails: the batched LSA fold-in gives each
+row the same IEEE operations whatever its batch (see
+``LsaEmbedder._fold_in``), but the PCA projection is a BLAS matmul,
+and BLAS picks its kernel by operand shape.  A singleton batch takes
+the matrix-vector path, so a lone row is padded with a duplicate and
+sliced back; that is not enough in general.  At the e2e TOY shape
+64 -> 32, batches of 2-32 rows come out different in the last bits
+from one large batch (64 and 512 rows agree), so "re-embed only the
+changed documents" does not always write the same bytes as
+"re-embed everything".  ROADMAP item 15 plans the fix: project in
+fixed zero-padded tiles on every path.
 """
 
 from __future__ import annotations
@@ -107,10 +109,12 @@ def transform_texts(
     pca: PcaReducer | None,
     texts: list[str],
 ) -> np.ndarray:
-    """Embed a batch through LSA (+ PCA), batch-size bit-stable.
+    """Embed a batch through LSA (+ PCA).
 
-    Always returns a 2-D ``(len(texts), dim)`` array whose rows equal
-    what any other batching of the same texts would produce.
+    Always returns a 2-D ``(len(texts), dim)`` array.  Rows are not
+    bit-stable across every batch size (see the module docstring): at
+    64 -> 32 a batch of 2-32 rows differs in the last bits from one
+    large batch.
     """
     dim = pca.dim if pca is not None else embedder.dim
     if not texts:
@@ -119,10 +123,8 @@ def transform_texts(
     if pca is None:
         return raw
     if raw.shape[0] == 1:
-        # Pad to two rows: the (2, d) @ (d, k) product takes the same
-        # BLAS path as any larger batch, so row 0 matches the rows a
-        # full-corpus transform would produce; a (1, d) product does
-        # not (matrix-vector kernel, different accumulation order).
+        # Pad to two rows so a lone row avoids the matrix-vector
+        # kernel; small batches can still differ from a large one.
         padded = np.zeros((2, raw.shape[1]), dtype=np.float64)
         padded[0] = raw[0]
         padded[1] = raw[0]

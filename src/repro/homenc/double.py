@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -116,10 +116,17 @@ class DoubleLheParams:
 
 @dataclass(frozen=True)
 class ClientKeys:
-    """Both layers' secret keys, held only by the client."""
+    """Both layers' secret keys, held only by the client.
+
+    ``mask`` is the inner encryption's query-independent half ``A s +
+    e`` (:meth:`RegevScheme.mask`), computed when the keys are made so
+    the online encryption is one add.  It is as secret as the keys,
+    never leaves the client, and encrypts one query only.
+    """
 
     inner: SecretKey
     outer: BfvSecretKey
+    mask: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -301,10 +308,17 @@ class DoubleLheScheme:
     # -- client key management -----------------------------------------------
 
     def gen_keys(self, rng: np.random.Generator | None = None) -> ClientKeys:
+        """Fresh keys of both layers and the inner mask ``A s + e``.
+
+        The mask noise comes from a child of ``rng``
+        (:func:`~repro.lwe.sampling.child_rng`), so the keys are the
+        same draws they would be without it.
+        """
         rng = sampling.resolve_rng(rng)
-        return ClientKeys(
-            inner=self.inner.gen_secret(rng), outer=self.outer.gen_secret(rng)
-        )
+        inner = self.inner.gen_secret(rng)
+        outer = self.outer.gen_secret(rng)
+        mask = self.inner.mask(inner, sampling.child_rng(rng))
+        return ClientKeys(inner=inner, outer=outer, mask=mask)
 
     @cached_property
     def outer_a(self) -> np.ndarray:
@@ -605,14 +619,10 @@ class DoubleLheScheme:
 
     # -- the online query path ----------------------------------------------------
 
-    def encrypt(
-        self,
-        keys: ClientKeys,
-        message: np.ndarray,
-        rng: np.random.Generator | None = None,
-    ) -> Ciphertext:
-        """Inner encryption of the query vector (the online upload)."""
-        return self.inner.encrypt(keys.inner, message, rng)
+    def encrypt(self, keys: ClientKeys, message: np.ndarray) -> Ciphertext:
+        """Inner encryption of the query vector (the online upload):
+        the keys' precomputed mask plus the encoded message."""
+        return self.inner.encrypt_with_mask(keys.mask, message)
 
     def apply(self, matrix: np.ndarray, ct: Ciphertext) -> np.ndarray:
         """Inner evaluation of one ciphertext: a batch of one."""

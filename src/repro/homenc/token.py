@@ -249,11 +249,17 @@ def make_client_keys(
 
     Each group of :func:`key_groups` shares one inner ternary secret,
     one outer key, and hence one encrypted-key upload (Appendix A.3),
-    encrypted under the group's first scheme's public ``A``.  Returns
-    the per-service keys, the per-service encrypted keys, and the total
-    upload size in bytes counting each shared upload once.
+    encrypted under the group's first scheme's public ``A``.  Each
+    service's keys carry its inner mask ``A s + e``, so the query-time
+    encryption is one add (the SS6.3 rule: what does not depend on the
+    query is done ahead of it).  Returns the per-service keys, the
+    per-service encrypted keys, and the total upload size in bytes
+    counting each shared upload once.
     """
     rng = sampling.resolve_rng(rng)
+    # Mask noise is drawn on the side: every key and z_b below is the
+    # same draw it would be without the masks.
+    mask_rng = sampling.child_rng(rng)
     keys: dict[str, ClientKeys] = {}
     enc_keys: dict[str, EncryptedKey] = {}
     upload_bytes = 0
@@ -270,7 +276,11 @@ def make_client_keys(
                 s=modular.to_ring(shared_signed, scheme.params.inner.q_bits),
                 params=scheme.params.inner,
             )
-            shared_keys[name] = ClientKeys(inner=inner_sk, outer=outer_sk)
+            shared_keys[name] = ClientKeys(
+                inner=inner_sk,
+                outer=outer_sk,
+                mask=scheme.inner.mask(inner_sk, mask_rng),
+            )
         # One encrypted-key upload serves the whole group: the inner
         # secret, the outer key and the leader's public A are all that
         # z_i depends on.

@@ -12,7 +12,8 @@ Scheme (all arithmetic mod q = 2^32 or 2^64):
   from a short seed shared by both parties;
 * secret key: ternary ``s`` in Z_q^n;
 * ``Enc(s, v) = A s + e + Delta v`` for plaintext ``v`` in Z_p^m and
-  ``Delta = q / p``;
+  ``Delta = q / p``; the mask ``A s + e`` does not depend on ``v``
+  and is computed ahead of time when the key is single-use;
 * ``Preproc(M) = H = M A`` (the SimplePIR "hint");
 * ``Apply(M, c) = M c``;
 * ``Dec(s, H, a) = round_Delta(a - H s) mod p = M v mod p``.
@@ -114,30 +115,54 @@ class RegevScheme:
         s = sampling.ternary_secret(rng, self.params.n, self.params.q_bits)
         return SecretKey(s=s, params=self.params)
 
+    def mask(
+        self, sk: SecretKey, rng: np.random.Generator | None = None
+    ) -> np.ndarray:
+        """The message-independent half of an encryption: ``A s + e``.
+
+        It depends only on the secret and fresh noise, so a client whose
+        secret is single-use computes it when the key is made, ahead of
+        the query (SS6.3), and encrypts online with
+        :meth:`encrypt_with_mask`.  Secret: with the ciphertext it
+        yields the message.
+        """
+        rng = sampling.resolve_rng(rng)
+        q_bits = self.params.q_bits
+        e = sampling.gaussian_error(rng, self.params.sigma, self.params.m, q_bits)
+        return modular.add(modular.matvec(self.a, sk.s, q_bits), e, q_bits)
+
     def encrypt(
         self,
         sk: SecretKey,
         message: np.ndarray,
         rng: np.random.Generator | None = None,
     ) -> Ciphertext:
-        """Encrypt a plaintext vector in Z_p^m.
+        """Encrypt a plaintext vector in Z_p^m under a fresh mask."""
+        return self.encrypt_with_mask(self.mask(sk, rng), message)
+
+    def encrypt_with_mask(
+        self, mask: np.ndarray, message: np.ndarray
+    ) -> Ciphertext:
+        """``mask + Delta m`` for a :meth:`mask` of the secret: one add.
 
         Negative message entries are accepted and reduced mod p
-        (centered fixed-precision convention of Appendix B.1).
+        (centered fixed-precision convention of Appendix B.1).  A mask
+        encrypts one message: two ciphertexts under it differ by
+        exactly ``Delta (m1 - m2)``.
         """
-        rng = sampling.resolve_rng(rng)
         message = np.asarray(message)
         if message.shape != (self.params.m,):
             raise ValueError(
                 f"message has shape {message.shape}, expected"
                 f" ({self.params.m},)"
             )
+        if mask.shape != (self.params.m,):
+            raise ValueError(
+                f"mask has shape {mask.shape}, expected ({self.params.m},)"
+            )
         q_bits = self.params.q_bits
-        e = sampling.gaussian_error(rng, self.params.sigma, self.params.m, q_bits)
-        mask = modular.matvec(self.a, sk.s, q_bits)
         encoded = modular.encode_message(message, q_bits, self.params.p)
-        c = modular.add(modular.add(mask, e, q_bits), encoded, q_bits)
-        return Ciphertext(c=c, params=self.params)
+        return Ciphertext(c=modular.add(mask, encoded, q_bits), params=self.params)
 
     def preprocess(self, matrix: np.ndarray) -> np.ndarray:
         """Compute the hint ``H = M A`` for a plaintext matrix ``M``.

@@ -70,6 +70,16 @@ def resolve_rng(
     return system_rng()
 
 
+def child_rng(rng: np.random.Generator) -> np.random.Generator:
+    """An independent generator spawned from ``rng``'s seed sequence.
+
+    Drawing from the child never advances ``rng`` itself, so draws added
+    on the side (the encryption masks made with a key) leave every later
+    draw of ``rng`` -- and so every key for a pinned seed -- unchanged.
+    """
+    return rng.spawn(1)[0]
+
+
 def seeded_rng(seed: int | bytes) -> np.random.Generator:
     """A deterministic generator for a given integer or byte-string seed."""
     if isinstance(seed, bytes):

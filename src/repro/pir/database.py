@@ -20,26 +20,74 @@ import numpy as np
 
 _LENGTH_PREFIX = 4
 
+#: Records bit-packed per pass of :func:`_pack_records`: bounds the
+#: transient bit-stream arrays to a few MB whatever the database size.
+_PACK_BLOCK = 256
 
-def _pack_bits(data: bytes, bits_per_digit: int) -> list[int]:
-    """Split a byte string into base-2^bits digits (little-endian)."""
-    value = int.from_bytes(data, "little")
-    total_bits = len(data) * 8
-    mask = (1 << bits_per_digit) - 1
-    digits = []
-    for shift in range(0, total_bits, bits_per_digit):
-        digits.append((value >> shift) & mask)
+
+def _pack_bits(framed: np.ndarray, bits_per_digit: int) -> np.ndarray:
+    """Split byte records into base-2^bits digits (little-endian).
+
+    ``framed`` is a uint8 array whose last axis holds one record's
+    bytes.  Bit j of a record (bit ``j % 8`` of byte ``j // 8``) is bit
+    ``j % bits`` of digit ``j // bits``; the last axis of the result is
+    the record's ``ceil(8 * bytes / bits)`` digits, the top one
+    zero-padded.
+    """
+    framed = np.asarray(framed, dtype=np.uint8)
+    num_digits = -(-framed.shape[-1] * 8 // bits_per_digit)
+    stream = np.unpackbits(
+        framed, axis=-1, count=num_digits * bits_per_digit, bitorder="little"
+    ).reshape(framed.shape[:-1] + (num_digits, bits_per_digit))
+    digits = np.zeros(stream.shape[:-1], dtype=np.int64)
+    for shift in range(bits_per_digit):
+        digits |= stream[..., shift].astype(np.int64) << shift
     return digits
 
 
 def _unpack_bits(digits: np.ndarray, bits_per_digit: int, num_bytes: int) -> bytes:
-    """Inverse of :func:`_pack_bits`."""
-    value = 0
-    for i, d in enumerate(digits):
-        value |= int(d) << (i * bits_per_digit)
-    return value.to_bytes(
-        max(num_bytes, 1) + bits_per_digit // 8 + 1, "little"
-    )[:num_bytes]
+    """Inverse of :func:`_pack_bits` for one record's digits, each in
+    ``[0, 2^bits)``: the first ``num_bytes`` bytes of the bit stream,
+    zero-padded when the digits carry fewer."""
+    digits = np.asarray(digits, dtype=np.int64)
+    stream = (digits[:, None] >> np.arange(bits_per_digit)) & 1
+    packed = np.packbits(stream.astype(np.uint8), bitorder="little")
+    return packed[:num_bytes].tobytes().ljust(num_bytes, b"\0")
+
+
+def _pack_records(
+    records: list[bytes], bits: int, records_per_column: int
+) -> tuple[np.ndarray, int, int]:
+    """The digit matrix of length-prefixed records, ``records_per_column``
+    stacked per column: record ``i`` fills rows ``[s * d, (s + 1) * d)``
+    of column ``i // records_per_column``, ``s = i % records_per_column``
+    and ``d`` the digits per record.  Returns the matrix, the framed
+    record size in bytes and ``d``."""
+    record_bytes = _LENGTH_PREFIX + max(len(r) for r in records)
+    num_cols = -(-len(records) // records_per_column)
+    # Empty slots of the last column are all-zero records.
+    empty = b"\0" * (record_bytes * (num_cols * records_per_column - len(records)))
+    blob = b"".join(
+        (len(r).to_bytes(_LENGTH_PREFIX, "little") + r).ljust(
+            record_bytes, b"\0"
+        )
+        for r in records
+    ) + empty
+    framed = np.frombuffer(blob, dtype=np.uint8).reshape(-1, record_bytes)
+    slot_digits = -(-record_bytes * 8 // bits)
+    matrix = np.empty((slot_digits * records_per_column, num_cols), np.int64)
+    # [slot, digit, column]: a view, so each block lands in place.
+    slots = matrix.reshape(records_per_column, slot_digits, num_cols)
+    block_cols = max(1, _PACK_BLOCK // records_per_column)
+    for col in range(0, num_cols, block_cols):
+        cols = min(block_cols, num_cols - col)
+        rows = framed[col * records_per_column : (col + cols) * records_per_column]
+        slots[:, :, col : col + cols] = (
+            _pack_bits(rows, bits)
+            .reshape(cols, records_per_column, slot_digits)
+            .transpose(1, 2, 0)
+        )
+    return matrix, record_bytes, slot_digits
 
 
 @dataclass
@@ -60,14 +108,7 @@ class PackedDatabase:
         if not records:
             raise ValueError("cannot pack an empty database")
         bits = p.bit_length() - 1
-        record_bytes = _LENGTH_PREFIX + max(len(r) for r in records)
-        digits_per_record = -(-record_bytes * 8 // bits)
-        matrix = np.zeros((digits_per_record, len(records)), dtype=np.int64)
-        for col, record in enumerate(records):
-            framed = len(record).to_bytes(_LENGTH_PREFIX, "little") + record
-            framed = framed.ljust(record_bytes, b"\0")
-            digits = _pack_bits(framed, bits)
-            matrix[: len(digits), col] = digits
+        matrix, record_bytes, _ = _pack_records(records, bits, 1)
         return cls(
             matrix=matrix,
             p=p,
@@ -96,21 +137,9 @@ class PackedDatabase:
         if p < 2 or p & (p - 1) != 0:
             raise ValueError("plaintext modulus must be a power of two >= 2")
         bits = p.bit_length() - 1
-        record_bytes = _LENGTH_PREFIX + max(len(r) for r in records)
-        slot_digits = -(-record_bytes * 8 // bits)
-        num_cols = -(-len(records) // records_per_column)
-        matrix = np.zeros(
-            (slot_digits * records_per_column, num_cols), dtype=np.int64
+        matrix, record_bytes, slot_digits = _pack_records(
+            records, bits, records_per_column
         )
-        for i, record in enumerate(records):
-            col = i // records_per_column
-            slot = i % records_per_column
-            framed = len(record).to_bytes(_LENGTH_PREFIX, "little") + record
-            framed = framed.ljust(record_bytes, b"\0")
-            digits = _pack_bits(framed, bits)
-            matrix[
-                slot * slot_digits : slot * slot_digits + len(digits), col
-            ] = digits
         db = cls(
             matrix=matrix,
             p=p,

@@ -146,15 +146,11 @@ class SimplePirClient:
         ``sampling.set_default_seed``)."""
         return self.scheme.gen_keys(rng)
 
-    def query(
-        self,
-        keys,
-        index: int,
-        rng: np.random.Generator | None = None,
-    ) -> PirQuery:
-        """Encrypt the selection vector for one record."""
+    def query(self, keys, index: int) -> PirQuery:
+        """Encrypt the selection vector for one record under the keys'
+        precomputed mask."""
         sel = self.db.selection_vector(index)
-        return PirQuery(ciphertext=self.scheme.encrypt(keys, sel, rng))
+        return PirQuery(ciphertext=self.scheme.encrypt(keys, sel))
 
     def recover(
         self, keys, answer: PirAnswer, hint_product: np.ndarray

@@ -27,6 +27,10 @@ def logs_secret(secret_key):
     logger.info("key=%s", secret_key)  # BAD: secret reaches the log tree
 
 
+def logs_query_mask(keys):
+    logger.debug("mask=%s", keys.mask)  # BAD: A s + e is key material
+
+
 def raises_with_secret(sk):
     raise ValueError(f"bad key {sk}")  # BAD: secret in exception message
 

@@ -45,7 +45,7 @@ class TestTaintChecker:
     def test_bad_file_trips_every_taint_rule(self):
         rules = active_rules(CORPUS / "bad_taint.py")
         assert rules["taint-branch"] == 3  # if, while, flowed-through
-        assert rules["taint-log"] == 2  # print + logger.info
+        assert rules["taint-log"] == 3  # print, logger.info, keys.mask
         assert rules["taint-raise"] == 1
         assert rules["taint-wire"] == 1
 

@@ -55,6 +55,25 @@ class TestItaintCorpus:
     def test_good_file_is_clean(self):
         assert not itaint_findings(CORPUS / "good_itaint.py")
 
+    def test_secret_attribute_keeps_its_objects_flow(self, tmp_path):
+        """A helper reading ``keys.mask`` passes its argument's taint
+        through: a locally sourced key sent through it stays the
+        per-file pass's finding, with no itaint duplicate."""
+        src = tmp_path / "mask_flow.py"
+        src.write_text(
+            "def seal(keys, message):\n"
+            "    return keys.mask + message\n"
+            "\n"
+            "\n"
+            "def send(scheme, message, rng):\n"
+            "    keys = scheme.gen_keys(rng)\n"
+            "    return encode_ciphertext(seal(keys, message))\n",
+            encoding="utf-8",
+        )
+        assert not itaint_findings(src)
+        per_file = analyze_paths([src], build_checkers({"taint-wire"}))
+        assert [f.rule for f in per_file.findings] == ["taint-wire"]
+
     def test_declassified_metadata_does_not_propagate(self):
         """.shape / len() on helper-returned secrets stay unflagged."""
         findings = itaint_findings(CORPUS / "good_itaint.py")

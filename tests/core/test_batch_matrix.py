@@ -67,7 +67,7 @@ class World:
         ]
         self.msgs = [rng.integers(-4, 5, size=m) for _ in range(MAX_Q)]
         self.cts = [
-            self.scheme.encrypt(keys, msg, rng)
+            self.scheme.encrypt(keys, msg)
             for keys, msg in zip(self.keys, self.msgs)
         ]
         self.stacked = np.stack([ct.c for ct in self.cts], axis=1)
@@ -79,7 +79,7 @@ class World:
         self.pir_client = SimplePirClient(self.db, self.pir_scheme)
         self.pir_keys = [self.pir_client.keygen(rng) for _ in range(MAX_Q)]
         self.pir_queries = [
-            self.pir_client.query(keys, i % len(self.records), rng)
+            self.pir_client.query(keys, i % len(self.records))
             for i, keys in enumerate(self.pir_keys)
         ]
         self.pir_hint = self.pir_scheme.inner.preprocess(self.db.matrix)

@@ -72,7 +72,7 @@ class TestEndpointRobustness:
         rng = np.random.default_rng(3)
         keys = engine.index.url_scheme.gen_keys(rng)
         sel = engine.index.url_db.selection_vector(0)
-        ct = engine.index.url_scheme.encrypt(keys, sel, rng)
+        ct = engine.index.url_scheme.encrypt(keys, sel)
         with pytest.raises(ValueError):
             engine.ranking_endpoint.dispatch(
                 frame("answer", wire.encode_ciphertext(ct))

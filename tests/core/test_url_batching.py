@@ -21,7 +21,7 @@ class TestUrlAnswerBatch:
         for i in range(4):
             sel = index.url_db.selection_vector(i % index.url_db.num_records)
             queries.append(
-                PirQuery(ciphertext=index.url_scheme.encrypt(keys, sel, rng))
+                PirQuery(ciphertext=index.url_scheme.encrypt(keys, sel))
             )
         return queries
 

@@ -40,7 +40,7 @@ def double_setup():
         keys = scheme.gen_keys(rng)
         enc_key = scheme.encrypt_key(keys, rng)
         msgs = [rng.integers(-4, 5, 20) for _ in range(2)]
-        cts = [scheme.encrypt(keys, msg, rng) for msg in msgs]
+        cts = [scheme.encrypt(keys, msg) for msg in msgs]
         clients.append((keys, enc_key, cts, msgs))
     return scheme, matrix, prep, clients
 
@@ -144,7 +144,7 @@ def test_batched_pipeline_total_correctness(case):
     )
     hint_product = scheme.decrypt_hint_product(keys, hint)
     msgs = [rng.integers(-4, 5, m) for _ in range(batch)]
-    cts = [scheme.encrypt(keys, msg, rng) for msg in msgs]
+    cts = [scheme.encrypt(keys, msg) for msg in msgs]
     answers = scheme.apply_batch(matrix, cts)
     for i, msg in enumerate(msgs):
         got = scheme.decrypt_centered(keys, answers[:, i], hint_product)

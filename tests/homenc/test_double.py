@@ -71,7 +71,7 @@ class TestEndToEnd:
                 enc_key, prep, adopt_own_a_product(scheme, prep)
             )
         )
-        ct = scheme.encrypt(keys, msg, rng)
+        ct = scheme.encrypt(keys, msg)
         answer = scheme.apply(matrix, ct)
         got = scheme.decrypt_centered(keys, answer, hint_product)
         assert np.array_equal(got, matrix @ msg)
@@ -91,7 +91,7 @@ class TestEndToEnd:
                 enc_key, prep, adopt_own_a_product(scheme32, prep)
             )
         )
-        ct = scheme32.encrypt(keys, msg, rng)
+        ct = scheme32.encrypt(keys, msg)
         got = scheme32.decrypt(keys, scheme32.apply(matrix, ct), hint_product)
         assert np.array_equal(got, (matrix @ msg) % scheme32.params.inner.p)
 
@@ -108,7 +108,7 @@ class TestEndToEnd:
                 enc_key, prep, adopt_own_a_product(scheme, prep)
             )
         )
-        ct = scheme.encrypt(keys, msg, rng)
+        ct = scheme.encrypt(keys, msg)
         got = scheme.decrypt(keys, scheme.apply(eye, ct), hint_product)
         assert np.array_equal(got, msg)
 

@@ -48,7 +48,7 @@ def test_pipeline_total_correctness(case):
             enc_key, prep, adopt_own_a_product(scheme, prep)
         )
     )
-    ct = scheme.encrypt(keys, msg, rng)
+    ct = scheme.encrypt(keys, msg)
     got = scheme.decrypt_centered(keys, scheme.apply(matrix, ct), hint_product)
     want = matrix @ msg
     # The product must stay inside the centered plaintext range.
@@ -68,7 +68,7 @@ def test_one_key_many_matrices(seed, num_matrices):
     keys = scheme.gen_keys(rng)
     enc_key = scheme.encrypt_key(keys, rng)
     msg = rng.integers(-3, 4, 8)
-    ct = scheme.encrypt(keys, msg, rng)
+    ct = scheme.encrypt(keys, msg)
     for _ in range(num_matrices):
         matrix = rng.integers(-3, 4, size=(6, 8))
         prep = scheme.preprocess(matrix)

@@ -70,7 +70,7 @@ class TestTokenLifecycle:
         rng = seeded_rng(4)
 
         msg = rng.integers(-8, 8, 40)
-        ct = schemes["ranking"].encrypt(keys["ranking"], msg, rng)
+        ct = schemes["ranking"].encrypt(keys["ranking"], msg)
         answer = schemes["ranking"].apply(rank_matrix, ct)
         got = schemes["ranking"].decrypt_centered(
             keys["ranking"], answer, hint_products["ranking"]
@@ -79,7 +79,7 @@ class TestTokenLifecycle:
 
         sel = np.zeros(24, dtype=int)
         sel[7] = 1
-        ct = schemes["url"].encrypt(keys["url"], sel, rng)
+        ct = schemes["url"].encrypt(keys["url"], sel)
         answer = schemes["url"].apply(url_matrix, ct)
         got = schemes["url"].decrypt(keys["url"], answer, hint_products["url"])
         assert np.array_equal(got, url_matrix[:, 7] % 2**8)

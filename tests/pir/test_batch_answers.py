@@ -17,7 +17,7 @@ def pir_setup():
     clients = []
     for c in range(5):
         keys = client.keygen(np.random.default_rng(100 + c))
-        query = client.query(keys, c * 3, np.random.default_rng(200 + c))
+        query = client.query(keys, c * 3)
         clients.append((keys, c * 3, query))
     return records, server, client, clients
 

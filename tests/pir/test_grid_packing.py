@@ -70,7 +70,7 @@ class TestGridThroughPir:
         col = db.column_of(target)
         sel = np.zeros(db.num_cols, dtype=np.int64)
         sel[col] = 1
-        ct = scheme.encrypt(keys, sel, rng)
+        ct = scheme.encrypt(keys, sel)
         digits = scheme.decrypt(keys, scheme.apply(db.matrix, ct), hint_product)
         got = db.decode_grid_column(digits, col)
         assert got == records[col * 3 : col * 3 + 3]

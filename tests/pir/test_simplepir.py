@@ -22,7 +22,7 @@ class TestClassicMode:
         keys = client.keygen(rng)
         hint = server.hint()
         for index in [0, 7, 39]:
-            query = client.query(keys, index, rng)
+            query = client.query(keys, index)
             answer = server.answer(query)
             assert client.recover_classic(keys, answer, hint) == records[index]
 
@@ -30,7 +30,7 @@ class TestClassicMode:
         server, client, _ = pir
         rng = seeded_rng(1)
         keys = client.keygen(rng)
-        sizes = {client.query(keys, i, rng).wire_bytes() for i in (0, 5, 39)}
+        sizes = {client.query(keys, i).wire_bytes() for i in (0, 5, 39)}
         assert len(sizes) == 1
 
     def test_answer_size_is_index_independent(self, pir):
@@ -38,7 +38,7 @@ class TestClassicMode:
         rng = seeded_rng(2)
         keys = client.keygen(rng)
         sizes = {
-            server.answer(client.query(keys, i, rng)).wire_bytes()
+            server.answer(client.query(keys, i)).wire_bytes()
             for i in (0, 39)
         }
         assert len(sizes) == 1
@@ -54,7 +54,7 @@ class TestCompressedMode:
             enc_key, server.prep, adopt_own_a_product(server.scheme, server.prep)
         )
         hint_product = server.scheme.decrypt_hint_product(keys, compressed)
-        query = client.query(keys, 13, rng)
+        query = client.query(keys, 13)
         answer = server.answer(query)
         assert client.recover(keys, answer, hint_product) == records[13]
 
