@@ -7,8 +7,8 @@ executed: serving code asks the registry for a plan
 only entry point.  Code that builds a
 :class:`~repro.lwe.modular.StackedPlan` directly, or multiplies a ring
 matrix with ``@`` / ``np.matmul``, silently pins itself to one
-execution strategy -- it ignores the configured backend, the tuned
-sidecar ``KernelPlan``, and the kernel timers the benchmarks read.
+execution strategy -- it ignores the configured backend and the
+kernel timers the benchmarks read.
 
 Two shapes are flagged outside the seam (the backends package plus
 :mod:`repro.lwe.modular` itself, which implements the one shared
@@ -78,7 +78,7 @@ class KernelSeamChecker(Checker):
             ),
             invariant=(
                 "every stacked modular GEMM flows through a backend"
-                " plan, so the configured/tuned kernel actually runs"
+                " plan, so the configured kernel actually runs"
             ),
         ),
     )

@@ -173,46 +173,14 @@ def _cmd_build_index(args: argparse.Namespace) -> int:
     corpus = SyntheticCorpus.generate(
         SyntheticCorpusConfig(num_docs=args.docs, seed=args.seed)
     )
-    # --precompute also runs the kernel autotuner: the sidecar then
-    # carries a KernelPlan record and serve cold-starts tuned.
-    config = TiptoeConfig(
-        kernel_autotune=bool(args.precompute and not args.no_kernel_autotune)
-    )
     index = TiptoeIndex.build(
         corpus.texts(),
         corpus.urls(),
-        config,
+        TiptoeConfig(),
         rng=np.random.default_rng(args.seed),
     )
     index.save(args.out, precompute=args.precompute)
     print(f"index over {args.docs} documents written to {args.out}")
-    return 0
-
-
-def _cmd_tune_kernels(args: argparse.Namespace) -> int:
-    from repro.core import artifacts
-    from repro.core.indexer import TiptoeIndex
-    from repro.lwe import backends as kernel_backends
-
-    index = TiptoeIndex.load(args.artifacts)
-    record = kernel_backends.tune_index(
-        index,
-        batch_size=args.batch,
-        repeats=args.repeats,
-        max_seconds=args.max_seconds,
-    )
-    artifacts.write_precompute_sidecar(
-        index, args.artifacts, kernel_plan=record
-    )
-    for which, entry in record.items():
-        print(
-            f"{which}: backend={entry['backend']}"
-            f" limb_bits={entry['limb_bits']}"
-            f" chunk_rows={entry['chunk_rows']}"
-            f" workers={entry['workers']}"
-            f" throughput={entry['throughput']:.1f} q/s"
-        )
-    print(f"kernel plan written to {args.artifacts}/precompute.npz")
     return 0
 
 
@@ -494,37 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     build_index.add_argument(
         "--precompute", action="store_true",
         help="also write the precompute.npz sidecar (hint NTT tables +"
-        " plan metadata + autotuned kernel plan) so serve cold-starts"
-        " without forward NTTs and straight into the tuned kernel",
-    )
-    build_index.add_argument(
-        "--no-kernel-autotune", action="store_true",
-        help="with --precompute: skip the kernel autotuner (the sidecar"
-        " then carries no KernelPlan record and serve uses defaults)",
+        " plan metadata) so serve cold-starts without forward NTTs",
     )
     build_index.set_defaults(func=_cmd_build_index)
-
-    tune_kernels = sub.add_parser(
-        "tune-kernels",
-        help="benchmark kernel backends against saved index matrices and"
-        " persist the winning KernelPlan in the precompute sidecar",
-    )
-    tune_kernels.add_argument("artifacts", type=str, help="artifact directory")
-    tune_kernels.add_argument(
-        "--batch", type=int, default=16,
-        help="stacked batch width the tuner optimizes for",
-    )
-    tune_kernels.add_argument(
-        "--repeats", type=int, default=3,
-        help="timed repetitions per candidate (more = less noise)",
-    )
-    tune_kernels.add_argument(
-        "--max-seconds", type=float, default=None,
-        help="total tuning budget; once spent, remaining candidates are"
-        " skipped (a reference default always runs, so a plan is"
-        " always produced) -- keeps CI tuning bounded",
-    )
-    tune_kernels.set_defaults(func=_cmd_tune_kernels)
 
     serve = sub.add_parser(
         "serve", help="serve saved index artifacts over TCP"
@@ -549,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel-backend", type=str, default=None,
         choices=("auto", "reference", "multiprocess", "cnative"),
         help="kernel backend for the hot GEMMs (default: the index"
-        " config's knob -- 'auto' uses the sidecar's tuned plan)",
+        " config's knob -- 'auto' is the reference backend)",
     )
     serve.set_defaults(func=_cmd_serve)
 

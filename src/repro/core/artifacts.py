@@ -164,6 +164,7 @@ def _config_manifest(config: TiptoeConfig) -> dict:
 #: record them; they are dropped on load.
 _RETIRED_CONFIG_KEYS = frozenset(
     {
+        "kernel_autotune",
         "num_workers",
         "precompute_sidecar",
         "token_pool_depth",
@@ -223,23 +224,16 @@ def generation_tag(path: str | Path) -> str:
     return artifact_digest(path)[:GENERATION_TAG_LEN]
 
 
-def write_precompute_sidecar(
-    index, path: str | Path, *, kernel_plan: dict | None = None
-) -> Path:
+def write_precompute_sidecar(index, path: str | Path) -> Path:
     """Write ``precompute.npz`` next to an already-saved artifact.
 
     The sidecar holds each service's plaintext-side hint NTT table
-    (shape ``(n_chunks, k, n_inner, n_outer)``), the serialized
-    stacked-plan metadata for the ranking and URL matrices, and
-    (optionally) the autotuned ``kernel_plan`` record -- all keyed to
-    the exact ``arrays.npz`` it was derived from by SHA-256 digest.
+    (shape ``(n_chunks, k, n_inner, n_outer)``) and the serialized
+    stacked-plan metadata for the ranking and URL matrices -- all keyed
+    to the exact ``arrays.npz`` it was derived from by SHA-256 digest.
     Everything in it is derived data: a ``serve`` without the sidecar
-    computes the same values itself (untuned), redoing the hint NTTs on
-    every mint.
-
-    ``kernel_plan`` is a ``{"ranking": ..., "url": ...}`` record from
-    :func:`repro.lwe.backends.tune_index`; when None and the index
-    config sets ``kernel_autotune``, the tuner runs here.
+    computes the same values itself, redoing the hint NTTs on every
+    mint.
     """
     from repro.lwe import backends as kernel_backends
 
@@ -256,8 +250,6 @@ def write_precompute_sidecar(
     url_plan = reference.plan(
         index.url_db.matrix, index.url_scheme.params.inner.q_bits
     )
-    if kernel_plan is None and getattr(index.config, "kernel_autotune", False):
-        kernel_plan = kernel_backends.tune_index(index)
     meta = {
         "schema": PRECOMPUTE_SCHEMA,
         "arrays_digest": _file_digest(arrays_path),
@@ -266,8 +258,6 @@ def write_precompute_sidecar(
             "url": url_plan.metadata(),
         },
     }
-    if kernel_plan is not None:
-        meta["kernel_plan"] = kernel_plan
     arrays = {
         "ranking_hint_ntt": index.ranking_scheme.hint_ntt_table(
             index.ranking_prep

@@ -67,7 +67,7 @@ class ShardedRankingService(Service):
     #: index sidecar), exact-safe for any slice; skips the plan's scan.
     entry_bound: int | None = None
     #: Kernel backend executing the products (None -> reference) plus
-    #: tuned plan options; see repro.lwe.backends.
+    #: plan options; see repro.lwe.backends.
     kernel_backend: str | None = None
     kernel_opts: dict = field(default_factory=dict)
     _plan: object = field(default=None, repr=False)

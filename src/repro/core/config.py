@@ -54,15 +54,11 @@ class TiptoeConfig:
     #: How long the scheduler holds an under-full batch open waiting
     #: for more queries, in milliseconds.
     max_batch_wait_ms: float = 2.0
-    #: Kernel backend executing the hot GEMMs: "auto" (tuned sidecar
-    #: plan if present, else reference), "reference", "multiprocess",
-    #: or "cnative" -- the cffi-compiled GIL-releasing C kernel, which
-    #: degrades to reference on compiler-less hosts (see
-    #: repro.lwe.backends).
+    #: Kernel backend executing the hot GEMMs: "auto" (= reference),
+    #: "reference", "multiprocess", or "cnative" -- the cffi-compiled
+    #: GIL-releasing C kernel, which degrades to reference on
+    #: compiler-less hosts (see repro.lwe.backends).
     kernel_backend: str = "auto"
-    #: Run the kernel autotuner when writing the precompute sidecar,
-    #: persisting the winning KernelPlan for cold-start use.
-    kernel_autotune: bool = False
 
     def __post_init__(self) -> None:
         if self.embedding_dim < 1:

@@ -23,15 +23,11 @@ a :class:`~repro.net.tcp.ServerRunner` listening on TCP.
 
 from __future__ import annotations
 
-import logging
-
 from repro.core.cluster_runtime import ShardedRankingService
 from repro.core.url_service import UrlService
 from repro.net import wire
 from repro.net.rpc import ServiceEndpoint
 from repro.net.service import Service
-
-logger = logging.getLogger(__name__)
 
 
 class TokenMintService(Service):
@@ -100,69 +96,19 @@ class HintService(Service):
         )
 
 
-def resolve_kernel_selection(
-    config, precompute: dict | None, which: str
-) -> tuple[str | None, dict]:
-    """Pick the kernel backend and plan options for one service matrix.
+def resolve_kernel_selection(config) -> str | None:
+    """The kernel backend the ranking and URL services plan on.
 
-    ``which`` is ``"ranking"`` or ``"url"``.  Precedence:
-
-    1. An explicit ``config.kernel_backend`` (anything but ``"auto"``)
-       wins; the sidecar's tuned options apply only when its record was
-       tuned for that same backend.
-    2. ``"auto"`` with a tuned ``kernel_plan`` sidecar record uses the
-       record's backend and options -- ``serve`` cold-starts tuned.
-    3. Otherwise the reference backend with defaults (returned as
-       ``(None, {})``).
-
-    Sidecars travel: an index tuned on a compiler-equipped build host
-    may be served somewhere the tuned backend cannot run (or by a newer
-    build that renamed it).  A record naming an unknown/unavailable
-    backend -- or one that fails to parse at all -- is *advice we
-    cannot take*: log a warning and serve on reference defaults rather
-    than refusing to cold-start.
-
-    Selection reads configuration and build-time artifacts only --
-    never query data (SECURITY.md).
+    ``"auto"`` (the default) is the reference backend, returned as
+    ``None``; any other ``config.kernel_backend`` is returned as is and
+    resolved by :func:`~repro.lwe.backends.get_backend`, which serves a
+    backend this host cannot run on reference.  Selection reads
+    configuration only -- never query data (SECURITY.md).
     """
-    from repro.lwe.backends import KernelPlan, backend_available
+    from repro.lwe.backends import AUTO
 
-    record = ((precompute or {}).get("kernel_plan") or {}).get(which)
-    configured = getattr(config, "kernel_backend", "auto") or "auto"
-    if configured != "auto":
-        if record is not None and record.get("backend") == configured:
-            try:
-                return configured, KernelPlan.from_dict(record).plan_kwargs()
-            except ValueError as exc:
-                logger.warning(
-                    "ignoring malformed %s kernel plan record (%s);"
-                    " using %s with default options",
-                    which,
-                    exc,
-                    configured,
-                )
-        return configured, {}
-    if record is not None:
-        try:
-            tuned = KernelPlan.from_dict(record)
-        except ValueError as exc:
-            logger.warning(
-                "ignoring malformed %s kernel plan record (%s);"
-                " falling back to the reference backend",
-                which,
-                exc,
-            )
-            return None, {}
-        if not backend_available(tuned.backend):
-            logger.warning(
-                "tuned %s kernel backend %r is not available on this"
-                " host; falling back to the reference backend",
-                which,
-                tuned.backend,
-            )
-            return None, {}
-        return tuned.backend, tuned.plan_kwargs()
-    return None, {}
+    configured = config.kernel_backend
+    return None if configured == AUTO else configured
 
 
 def build_services(
@@ -192,12 +138,7 @@ def build_services(
     entry_bound = (
         int(ranking_meta["entry_bound"]) if ranking_meta is not None else None
     )
-    ranking_backend, ranking_opts = resolve_kernel_selection(
-        index.config, index.precompute, "ranking"
-    )
-    url_backend, url_opts = resolve_kernel_selection(
-        index.config, index.precompute, "url"
-    )
+    kernel_backend = resolve_kernel_selection(index.config)
     ranking = ShardedRankingService.build(
         index.ranking_scheme,
         index.layout.matrix,
@@ -205,8 +146,7 @@ def build_services(
         shard=shard,
         num_shards=num_shards,
         entry_bound=entry_bound,
-        kernel_backend=ranking_backend,
-        kernel_opts=ranking_opts,
+        kernel_backend=kernel_backend,
     )
     if index.config.max_batch_size > 1:
         from repro.core.scheduler import BatchScheduler
@@ -224,8 +164,7 @@ def build_services(
             index.url_db,
             index.url_scheme,
             plan_meta=plans.get("url"),
-            kernel_backend=url_backend,
-            kernel_opts=url_opts,
+            kernel_backend=kernel_backend,
         ),
         TokenMintService(index.token_factory),
         HintService(index),

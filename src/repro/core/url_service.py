@@ -48,8 +48,8 @@ class UrlService(Service):
         self.ledger = CostLedger()
         #: Kernel-backend name (None -> reference); see repro.lwe.backends.
         self.kernel_backend = kernel_backend
-        # Sidecar-provided plan parameters ride along with the tuned
-        # plan options: they skip the entry scan when the plan is built.
+        # Sidecar-provided plan parameters ride along with the plan
+        # options: they skip the entry scan when the plan is built.
         self._pir = SimplePirServer(
             db,
             scheme,

@@ -10,9 +10,7 @@ Selection policy (see :func:`get_backend`):
 * ``"cnative"`` -- cffi-compiled C GEMM releasing the GIL across
   native row-partition threads; needs a C compiler once (content-
   hashed build cache), degrades to reference without one.
-* ``"auto"`` -- the reference backend unless a tuned
-  :class:`~repro.lwe.backends.autotune.KernelPlan` (from the precompute
-  sidecar) says otherwise; resolution happens in the serving layer.
+* ``"auto"`` -- the reference backend.
 
 Backend choice is **data-independent**: it keys on configuration and on
 public matrix geometry, never on query contents (SECURITY.md).
@@ -32,8 +30,7 @@ from repro.lwe.backends.cnative import CNativeBackend
 from repro.lwe.backends.reference import ReferenceBackend
 from repro.lwe.backends.shm import SharedMemoryBackend
 
-#: Name the serving layer uses for "pick for me" (resolved against the
-#: sidecar's tuned plan, falling back to the reference backend).
+#: The default name: the reference backend.
 AUTO = "auto"
 
 _REGISTRY_LOCK = threading.Lock()
@@ -75,10 +72,9 @@ def get_backend(name: str | None = None) -> KernelBackend:
     """Resolve a backend by name.
 
     ``None`` or ``"auto"`` or ``"reference"`` return the reference
-    backend (tuned auto-resolution happens in the serving layer, which
-    knows about the sidecar).  An unavailable backend falls back to
-    reference rather than failing -- the contract is bit-identical
-    either way.  An unknown name is a hard error listing the choices.
+    backend.  An unavailable backend falls back to reference rather
+    than failing -- the contract is bit-identical either way.  An
+    unknown name is a hard error listing the choices.
     """
     if name is None or name == AUTO:
         name = "reference"
@@ -99,18 +95,11 @@ register_backend(ReferenceBackend())
 register_backend(SharedMemoryBackend())
 register_backend(CNativeBackend())
 
-from repro.lwe.backends.autotune import (  # noqa: E402  (needs registry)
-    KernelPlan,
-    tune_index,
-    tune_matrix,
-)
-
 __all__ = [
     "AUTO",
     "BackendPlan",
     "CNativeBackend",
     "KernelBackend",
-    "KernelPlan",
     "KernelUnavailable",
     "PlanContextMixin",
     "ReferenceBackend",
@@ -120,6 +109,4 @@ __all__ = [
     "backend_names",
     "get_backend",
     "register_backend",
-    "tune_index",
-    "tune_matrix",
 ]

@@ -93,8 +93,8 @@ class KernelBackend(Protocol):
 
         ``metadata`` (from the precompute sidecar) skips the entry
         scan and is validated against the matrix; ``limb_bits`` /
-        ``chunk_rows`` / ``workers`` are autotuner outputs -- backends
-        ignore the knobs they have no use for.
+        ``chunk_rows`` / ``workers`` are optional execution knobs --
+        backends ignore the knobs they have no use for.
         """
         ...
 

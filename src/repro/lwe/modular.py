@@ -183,7 +183,8 @@ def exact_limb_bits(bound: int, cols: int, q_bits: int) -> int:
     largest one keeping that strictly below 2^53, clamped to
     ``q_bits``.  Returns 0 when no positive width is exact-safe.  Any
     *smaller* positive width is also exact (the bound only shrinks), so
-    tuned plans may narrow limbs freely without losing bit-identity.
+    a plan's ``limb_bits`` override may narrow them freely without
+    losing bit-identity.
     """
     bound = int(bound)
     cols = int(cols)
@@ -315,7 +316,7 @@ class StackedPlan:
         if derived >= MIN_LIMB_BITS:
             self.limb_bits = derived
             if limb_bits is not None:
-                # A tuned override may only *narrow* the limbs -- any
+                # An override may only *narrow* the limbs -- any
                 # width at or below the derived maximum stays exact.
                 self.limb_bits = max(MIN_LIMB_BITS, min(int(limb_bits), derived))
         else:

@@ -10,10 +10,7 @@ downstream tooling can evolve safely:
 
 ``repro.obs.bench/v1``
     A benchmark result envelope: ``{"schema", "bench", "data"}``.
-    ``benchmarks/bench_throughput.py`` writes two of these per run --
-    ``BENCH_throughput.json`` (per-phase queries/sec) and
-    ``BENCH_latency.json`` (per-phase p50/p95/p99 seconds) -- giving
-    every future PR a numeric baseline to diff against.
+    ``benchmarks/bench_ingest.py`` writes ``BENCH_ingest.json`` in it.
 
 See EXPERIMENTS.md ("Observability") for the field-by-field schema.
 """

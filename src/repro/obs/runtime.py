@@ -6,7 +6,7 @@ holding tracer/registry references.  When observability is disabled
 (the default) every helper returns a shared no-op object or returns
 immediately: the cost is one global read and one branch, which keeps
 the instrumented ranking scan within the <5% no-op overhead budget
-(measured by ``benchmarks/bench_throughput.py``).
+(gated by ``tests/obs/test_runtime.py``).
 
 Enable around a region of interest::
 

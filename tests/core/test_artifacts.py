@@ -124,8 +124,9 @@ class TestValidation:
         assert load_index(tmp_path).config == load_index(saved).config
 
     def test_retired_token_keys_still_load(self, engine, saved, tmp_path):
-        """Manifests from before the ahead-of-time knobs left the config
-        record them; they are dropped and answers stay bit-identical."""
+        """Manifests from before the ahead-of-time knobs and the kernel
+        tuner left the config record them; they are dropped and answers
+        stay bit-identical."""
         self._copy_with_edited_manifest(
             saved,
             tmp_path,
@@ -134,6 +135,7 @@ class TestValidation:
                 token_pool_batch=4,
                 token_prefetch_depth=0,
                 precompute_sidecar=False,
+                kernel_autotune=True,
             ),
         )
         assert load_index(tmp_path).config == engine.index.config
@@ -189,6 +191,21 @@ def saved_warm(engine, tmp_path_factory):
     return path
 
 
+def _copy_with_edited_sidecar_meta(saved_warm, dest, edit):
+    """Copy a warm artifact, rewriting its sidecar's meta with ``edit``."""
+    for item in saved_warm.iterdir():
+        shutil.copy(item, dest / item.name)
+    with np.load(dest / "precompute.npz") as z:
+        arrays = {name: z[name] for name in z.files}
+    meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
+    edit(meta)
+    arrays["meta_json"] = np.frombuffer(
+        json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
+    )
+    with (dest / "precompute.npz").open("wb") as fh:
+        np.savez(fh, **arrays)
+
+
 class TestPrecomputeSidecar:
     def test_sidecar_is_written_and_validates(self, saved_warm):
         assert (saved_warm / "precompute.npz").is_file()
@@ -231,6 +248,29 @@ class TestPrecomputeSidecar:
             assert plan["entry_bound"] >= 0
             assert plan["limb_bits"] >= 1
 
+    def test_warm_serve_runs_no_hint_ntt_before_its_first_mint(
+        self, saved, saved_warm, monkeypatch
+    ):
+        """What the sidecar buys a cold start: a serve loaded with it
+        computes no plaintext-side hint NTT while it starts (the
+        ``a``-products) or for its first mint.  The same index loaded
+        without the sidecar computes them (the control)."""
+        from repro.homenc.double import DoubleLheScheme
+
+        computed = []
+        real = DoubleLheScheme._chunk_c_ntts
+
+        def counting(self, prep, chunk_idx, start):
+            computed.append(chunk_idx)
+            return real(self, prep, chunk_idx, start)
+
+        monkeypatch.setattr(DoubleLheScheme, "_chunk_c_ntts", counting)
+        for path, expect_ntts in ((saved_warm, False), (saved, True)):
+            computed.clear()
+            with TiptoeEngine(TiptoeIndex.load(path)) as served:
+                served.mint_token(np.random.default_rng(29))
+            assert bool(computed) == expect_ntts, path
+
     def test_cold_start_equivalence(self, engine, saved, saved_warm):
         """A warm serve answers bit-identically to a cache-less one."""
         cold = TiptoeEngine(TiptoeIndex.load(saved))
@@ -272,17 +312,11 @@ class TestPrecomputeSidecar:
             load_index(tmp_path)
 
     def test_unknown_sidecar_schema_is_rejected(self, saved_warm, tmp_path):
-        for item in saved_warm.iterdir():
-            shutil.copy(item, tmp_path / item.name)
-        with np.load(tmp_path / "precompute.npz") as z:
-            arrays = {name: z[name] for name in z.files}
-        meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
-        meta["schema"] = "repro.precompute/v999"
-        arrays["meta_json"] = np.frombuffer(
-            json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
+        _copy_with_edited_sidecar_meta(
+            saved_warm,
+            tmp_path,
+            lambda m: m.update(schema="repro.precompute/v999"),
         )
-        with (tmp_path / "precompute.npz").open("wb") as fh:
-            np.savez(fh, **arrays)
         with pytest.raises(ArtifactError, match="v999"):
             load_precompute_sidecar(tmp_path)
 
@@ -291,107 +325,33 @@ class TestPrecomputeSidecar:
             write_precompute_sidecar(engine.index, tmp_path)
 
 
-class TestKernelPlanSidecar:
-    """The autotuned KernelPlan record rides the precompute sidecar:
-    tuned at build time, applied at serve time without re-tuning."""
-
-    RECORD = {
-        "ranking": {
-            "backend": "reference",
-            "limb_bits": 0,
-            "chunk_rows": 0,
-            "workers": 0,
-        },
-        "url": {
-            "backend": "multiprocess",
-            "limb_bits": 0,
-            "chunk_rows": 0,
-            "workers": 2,
-        },
-    }
-
-    def test_explicit_record_round_trips(self, engine, tmp_path):
-        save_index(engine.index, tmp_path)
-        write_precompute_sidecar(engine.index, tmp_path,
-                                 kernel_plan=self.RECORD)
-        meta, _ = load_precompute_sidecar(tmp_path)
-        assert meta["kernel_plan"] == self.RECORD
-        assert load_index(tmp_path).precompute["kernel_plan"] == self.RECORD
-
-    def test_plain_sidecar_has_no_kernel_plan(self, saved_warm):
-        meta, _ = load_precompute_sidecar(saved_warm)
-        assert "kernel_plan" not in meta
-
-    def test_autotune_config_tunes_at_save_time(self, engine, tmp_path):
-        import dataclasses
-
-        from repro.lwe.backends import backend_names
-
-        config = dataclasses.replace(
-            engine.index.config, kernel_autotune=True
-        )
-        index = dataclasses.replace(engine.index, config=config)
-        index.save(tmp_path, precompute=True)
-        meta, _ = load_precompute_sidecar(tmp_path)
-        record = meta["kernel_plan"]
-        assert set(record) == {"ranking", "url"}
-        for entry in record.values():
-            assert entry["backend"] in backend_names()
-            assert entry["throughput"] > 0
-
-    def test_serve_cold_starts_on_the_tuned_plan(self, engine, tmp_path):
-        """build_services applies the sidecar record directly -- no
-        tuner run at load time -- and searches stay bit-identical."""
-        from repro.core.services import build_services
-
-        save_index(engine.index, tmp_path)
-        write_precompute_sidecar(engine.index, tmp_path,
-                                 kernel_plan=self.RECORD)
-        index = load_index(tmp_path)
-        services = build_services(index)
-        try:
-            assert services["ranking"].kernel_backend == "reference"
-            assert services["url"].kernel_backend == "multiprocess"
-            health = services["url"].health()
-            assert health["kernel_backend"] == "multiprocess"
-        finally:
-            for service in services.values():
-                service.close()
-
-    def test_cnative_record_round_trips_and_serves(self, engine, tmp_path):
-        """A sidecar tuned to the native backend: the record survives
-        the save/load cycle verbatim, build_services applies it, and --
-        on a compiler-less host -- the unavailable backend degrades to
-        reference at plan-build time without changing answers."""
-        from repro.core.services import build_services
-
+class TestLegacyKernelRecord:
+    def test_sidecar_with_a_kernel_record_serves_on_reference(
+        self, engine, saved_warm, tmp_path
+    ):
+        """Sidecars written while the build-time kernel tuner existed
+        carry a ``kernel_plan`` record in their meta.  It is ignored:
+        the index loads, serves on the reference backend, and answers
+        bit-identically."""
+        tuned = {"limb_bits": 17, "chunk_rows": 0, "workers": 2}
         record = {
-            "ranking": {
-                "backend": "cnative",
-                "limb_bits": 0,
-                "chunk_rows": 0,
-                "workers": 2,
-            },
-            "url": {
-                "backend": "cnative",
-                "limb_bits": 0,
-                "chunk_rows": 0,
-                "workers": 2,
-            },
+            "ranking": {"backend": "multiprocess", **tuned},
+            "url": {"backend": "cnative", **tuned},
         }
-        save_index(engine.index, tmp_path)
-        write_precompute_sidecar(engine.index, tmp_path, kernel_plan=record)
-        meta, _ = load_precompute_sidecar(tmp_path)
-        assert meta["kernel_plan"] == record
-        index = load_index(tmp_path)
-        services = build_services(index)
+        _copy_with_edited_sidecar_meta(
+            saved_warm, tmp_path, lambda m: m.update(kernel_plan=record)
+        )
+        old = TiptoeEngine(TiptoeIndex.load(tmp_path))
         try:
-            assert services["ranking"].kernel_backend == "cnative"
-            assert services["url"].kernel_backend == "cnative"
-            health = services["ranking"].health()
-            assert health["kernel_backend"] == "cnative"
-            # Plans build lazily; effective backend unknown until then.
-            assert health["kernel_effective"] is None
+            a = engine.search("alpha beta", rng=np.random.default_rng(7))
+            b = old.search("alpha beta", rng=np.random.default_rng(7))
+            for service in (old.ranking_service, old.url_service):
+                health = service.health()
+                assert health["kernel_backend"] == "reference"
+                assert health["kernel_effective"] == "reference"
         finally:
-            for service in services.values():
-                service.close()
+            old.close()
+        assert b.cluster == a.cluster
+        assert [(r.position, r.score, r.url) for r in b.results] == [
+            (r.position, r.score, r.url) for r in a.results
+        ]
