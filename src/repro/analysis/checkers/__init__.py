@@ -8,7 +8,6 @@ from repro.analysis.checkers.batch import BatchPlaneChecker
 from repro.analysis.checkers.dtype import DtypeDisciplineChecker
 from repro.analysis.checkers.hotpath import HotPathPrecomputeChecker
 from repro.analysis.checkers.ingest import IngestMaterializeChecker
-from repro.analysis.checkers.itaint import InterproceduralTaintChecker
 from repro.analysis.checkers.kernelseam import KernelSeamChecker
 from repro.analysis.checkers.locks import LockDisciplineChecker
 from repro.analysis.checkers.net import TransportSeamChecker
@@ -20,7 +19,6 @@ def build_checkers(rules: set[str] | None = None) -> list[Checker]:
     """Instantiate every per-file checker, optionally rule-filtered."""
     checkers: list[Checker] = [
         DtypeDisciplineChecker(),
-        SecretTaintChecker(),
         RngHygieneChecker(),
         ApiHygieneChecker(),
         TransportSeamChecker(),
@@ -38,7 +36,7 @@ def build_program_checkers(
     """Instantiate every whole-program checker, optionally filtered."""
     checkers: list[ProgramChecker] = [
         LockDisciplineChecker(),
-        InterproceduralTaintChecker(),
+        SecretTaintChecker(),
     ]
     return _filter(checkers, rules)
 
@@ -70,7 +68,6 @@ __all__ = [
     "HotPathPrecomputeChecker",
     "IngestMaterializeChecker",
     "KernelSeamChecker",
-    "InterproceduralTaintChecker",
     "LockDisciplineChecker",
     "RngHygieneChecker",
     "SecretTaintChecker",

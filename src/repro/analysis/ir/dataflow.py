@@ -3,10 +3,9 @@
 Generic forward fixpoint: callers supply a transfer function over
 blocks and a join for merge points.  States must be comparable with
 ``==`` and treated as immutable (transfer returns a *new* state).
-The engine iterates to a fixpoint, so loop-carried facts -- the thing
-the PR-1 linear taint pass could not see -- converge: a value that
-becomes tainted on iteration N is tainted at the loop header on
-iteration N+1.
+The engine iterates to a fixpoint, so loop-carried facts converge: a
+value that becomes tainted on iteration N is tainted at the loop
+header on iteration N+1.
 """
 
 from __future__ import annotations

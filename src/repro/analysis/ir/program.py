@@ -273,7 +273,7 @@ class Program:
         for mod in modules:
             for cls in mod.classes.values():
                 self.classes_by_name.setdefault(cls.name, []).append(cls)
-        self._cfgs: dict[int, CFG] = {}
+        self._cfgs: dict[ast.AST, CFG] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -381,7 +381,7 @@ class Program:
         return func.module.lock_token(name)
 
     def cfg_of(self, func: FunctionInfo) -> CFG:
-        key = id(func.node)
+        key = func.node  # the node itself, so no id is ever reused
         cfg = self._cfgs.get(key)
         if cfg is None:
             cfg = build_cfg(

@@ -100,6 +100,7 @@ class ClassicTiptoeClient:
         offset = int(self.metadata.cluster_offsets[cluster])
         best_storage = engine.storage_position(offset + top_rows[0])
         batch_index = self.url_client.batch_of_position(best_storage)
+        # tiptoe-lint: disable=taint-raise -- batch_index is this client's own decrypted ranking result, not key material; selection_vector raises on it only when out of range, in this process, before any request is sent
         url_query = self.url_client.build_query(url_keys, batch_index)
         body = channel.call(
             "url",

@@ -275,7 +275,7 @@ class TiptoeClient:
                     "url",
                     "url",
                     "answer",
-                    # tiptoe-lint: disable=itaint-wire -- the ciphertext IS the wire format; semantic security (decision-LWE) covers what it reveals
+                    # tiptoe-lint: disable=taint-wire -- the ciphertext IS the wire format; semantic security (decision-LWE) covers what it reveals
                     wire.encode_ciphertext(url_query.ciphertext),
                 )
                 values, q_bits = wire.decode_answer(body)

@@ -306,7 +306,7 @@ def request_token(
     for name, a_product in factory.a_products().items():
         schemes[name].adopt_a_product(a_product, factory.service(name).prep.rows)
     keys, enc_keys, upload_bytes = make_client_keys(schemes, rng)
-    # tiptoe-lint: disable=itaint-raise -- mint()'s error paths embed only service *names* and a rejected key's shape and dtype (public configuration), never the encrypted key material
+    # tiptoe-lint: disable=taint-raise -- mint()'s error paths embed only service *names* and a rejected key's shape and dtype (public configuration), never the encrypted key material
     payload = factory.mint(enc_keys)
     hint_products = {
         name: schemes[name].decrypt_hint_product(keys[name], payload.hints[name])

@@ -1,8 +1,8 @@
 """Known-bad interprocedural taint: secrets flow through helpers.
 
-Each function trips exactly one ``itaint-*`` rule; none of them is
-visible to the intraprocedural ``taint-*`` checker, which cannot see
-that the helpers return key material.
+Each function after the helpers trips exactly one ``taint-*`` rule.
+None of them sources a secret itself: every finding rests on the
+helpers' summaries.
 """
 
 import logging

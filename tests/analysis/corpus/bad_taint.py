@@ -46,3 +46,21 @@ def taint_flows_through_assignment(scheme, rng):
     if masked:  # BAD: still derived from the keygen output
         return True
     return False
+
+
+def copied_secret(scheme, rng):
+    sk = scheme.gen_secret(rng)
+    return [x for x in sk]
+
+
+def branches_on_copied_secret(scheme, rng):
+    if copied_secret(scheme, rng):  # BAD: a comprehension keeps the taint
+        return True
+    return False
+
+
+# Module scope is analysed like a function body.
+SK = scheme.gen_secret(RNG)
+print(SK)  # BAD: a module-level secret reaches a terminal
+if SK[0]:  # BAD: module-level control flow on key material
+    pass

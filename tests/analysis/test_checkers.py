@@ -41,16 +41,23 @@ class TestDtypeChecker:
         assert not any(r.startswith("dtype-") for r in rules)
 
 
+def program_rules(path):
+    report = analyze_paths([path], [], build_program_checkers())
+    return Counter(f.rule for f in report.findings)
+
+
 class TestTaintChecker:
     def test_bad_file_trips_every_taint_rule(self):
-        rules = active_rules(CORPUS / "bad_taint.py")
-        assert rules["taint-branch"] == 3  # if, while, flowed-through
-        assert rules["taint-log"] == 3  # print, logger.info, keys.mask
+        rules = program_rules(CORPUS / "bad_taint.py")
+        # if, while, flowed-through, comprehension, module-level if
+        assert rules["taint-branch"] == 5
+        # print, logger.info, keys.mask, module-level print
+        assert rules["taint-log"] == 4
         assert rules["taint-raise"] == 1
         assert rules["taint-wire"] == 1
 
     def test_good_file_is_clean(self):
-        assert not active_rules(CORPUS / "good_taint.py")
+        assert not program_rules(CORPUS / "good_taint.py")
 
 
 class TestRngChecker:
@@ -251,7 +258,7 @@ class TestFramework:
         The batch and hotpath checkers are filename-scoped (they only
         bind in their hot modules), so their known-bad corpus files
         carry the hot-module names under ``corpus/core/`` instead of
-        the ``bad_`` prefix.  Whole-program rules (lock-*, itaint-*)
+        the ``bad_`` prefix.  Whole-program rules (lock-*, taint-*)
         run through :func:`analyze_paths` with the program checkers.
         """
         fired = Counter()

@@ -31,9 +31,16 @@ def run_lint(*args):
 
 class TestExitCodes:
     def test_repo_wide_run_is_clean(self):
-        """Acceptance: src/ has no unjustified invariant violations."""
-        proc = run_lint("src/")
+        """Acceptance: src/ has no unjustified invariant violations, the
+        whole-repo analysis stays under 30 s wall clock, and the output
+        is the committed suppression inventory (CI's baseline diff)."""
+        proc = run_lint("src/", "--baseline", "--max-seconds", "30")
         assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "active findings: 0" in proc.stdout
+        assert "suppressions (location, rule, reason):" in proc.stdout
+        assert " -- " in proc.stdout  # at least one justified suppression
+        baseline = REPO / "benchmarks" / "out" / "lint_baseline.txt"
+        assert proc.stdout == baseline.read_text(encoding="utf-8")
 
     def test_known_bad_corpus_fails(self):
         """Acceptance: the bad snippets make the tool exit non-zero."""
@@ -88,8 +95,9 @@ class TestOutputModes:
         assert {f["rule"] for f in payload["findings"]} == {"api-print"}
 
     def test_unknown_rule_filter_is_a_usage_error(self):
-        proc = run_lint(str(CORPUS), "--rules", "no-such-rule")
-        assert proc.returncode == 2
+        for rule in ("no-such-rule", "itaint-wire"):
+            proc = run_lint(str(CORPUS), "--rules", rule)
+            assert proc.returncode == 2, rule
 
 
 class TestWallClockBudget:
